@@ -194,6 +194,10 @@ def _atomic_write(path: str, writer: Callable[[IO[str]], None]) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             writer(handle)
+        # mkstemp creates the file 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
         with contextlib.suppress(OSError):

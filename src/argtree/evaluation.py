@@ -322,8 +322,8 @@ class TTestResult:
 def paired_t_test(first: Sequence[float], second: Sequence[float]) -> TTestResult:
     """Two-sided paired t-test on matched score vectors.
 
-    Zero-variance differences make the statistic undefined; the result is
-    flagged degenerate with p = 1 for a zero mean difference and p = 0
+    When all differences are equal the statistic is undefined; the result
+    is flagged degenerate with p = 1 for a zero difference and p = 0
     otherwise, rather than raising.
     """
     if len(first) != len(second):
@@ -335,7 +335,9 @@ def paired_t_test(first: Sequence[float], second: Sequence[float]) -> TTestResul
     mean = sum(diffs) / n
     variance = sum((d - mean) ** 2 for d in diffs) / (n - 1)
     df = n - 1
-    if variance == 0.0:
+    # Equal differences can leave a variance of ~1e-34 rather than 0, since
+    # the float mean may be an ulp off them; that is still no variance.
+    if variance == 0.0 or max(diffs) == min(diffs):
         if mean == 0.0:
             return TTestResult(t=0.0, df=df, p=1.0, mean_diff=mean, degenerate=True)
         t = math.inf if mean > 0 else -math.inf

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 

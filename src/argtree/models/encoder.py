@@ -3,9 +3,9 @@
 Sequences are packed as [CLS] a [SEP] b [SEP] with segment 0 covering CLS,
 the first claim and the first SEP, segment 1 the rest. Unknown tokens map
 to PAD, which shares id 0 with padding. Each claim is truncated to a fixed
-token budget before packing. Because pooling is a mean, every position
-receives the same upstream gradient, which keeps the backward pass exact
-and cheap.
+token budget before packing. A batch of sequences is pooled at once by a
+sparse matrix whose row for a sequence holds 1/len at each of its tokens;
+the backward pass scatters into the embeddings through its transpose.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..text import tokenize
 
@@ -133,27 +134,57 @@ class EncoderParams:
 
 
 @dataclass
-class EncodeCache:
-    ids: np.ndarray
+class SequenceBatch:
+    """Packed sequences as mean-pooling weights over the tokens they use.
+
+    `tokens` is a CSR matrix with one row per sequence and one column per
+    entry of `columns` (the distinct token ids of the batch, ascending);
+    each token occurrence adds 1/len to its row. `segments` holds each
+    sequence's share of segment 0 and segment 1 tokens.
+    """
+
+    tokens: sp.csr_matrix
+    columns: np.ndarray
     segments: np.ndarray
-    pool: np.ndarray
-    h: np.ndarray
+
+    def __len__(self) -> int:
+        return self.tokens.shape[0]
 
 
-def encode(params: EncoderParams, ids: np.ndarray, segments: np.ndarray) -> EncodeCache:
-    pool = (params.tok_emb[ids].sum(axis=0) + params.seg_emb[segments].sum(axis=0)) / len(ids)
-    h = np.tanh(params.proj_w @ pool + params.proj_b)
-    return EncodeCache(ids=ids, segments=segments, pool=pool, h=h)
+def batch_sequences(sequences: Sequence[tuple[np.ndarray, np.ndarray]]) -> SequenceBatch:
+    lengths = np.array([len(ids) for ids, _ in sequences], dtype=np.int64)
+    indptr = np.zeros(len(sequences) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    columns, indices = np.unique(
+        np.concatenate([ids for ids, _ in sequences]), return_inverse=True
+    )
+    weights = np.repeat(1.0 / lengths, lengths)
+    tokens = sp.csr_matrix((weights, indices, indptr), shape=(len(sequences), len(columns)))
+    second = np.add.reduceat(np.concatenate([seg for _, seg in sequences]), indptr[:-1])
+    segments = np.stack([lengths - second, second], axis=1) / lengths[:, None]
+    return SequenceBatch(tokens=tokens, columns=columns, segments=segments)
+
+
+@dataclass
+class EncodeCache:
+    batch: SequenceBatch
+    pool: np.ndarray  # sequences x dim
+    h: np.ndarray  # sequences x dim
+
+
+def encode(params: EncoderParams, batch: SequenceBatch) -> EncodeCache:
+    pool = batch.tokens @ params.tok_emb[batch.columns] + batch.segments @ params.seg_emb
+    h = np.tanh(pool @ params.proj_w.T + params.proj_b)
+    return EncodeCache(batch=batch, pool=pool, h=h)
 
 
 def encode_backward(
     params: EncoderParams, cache: EncodeCache, dh: np.ndarray, grads: EncoderParams
 ) -> None:
-    """Accumulate parameter gradients for one encoded sequence."""
+    """Accumulate parameter gradients for a batch; dh holds one row per sequence."""
     du = dh * (1.0 - cache.h * cache.h)
-    grads.proj_w += np.outer(du, cache.pool)
-    grads.proj_b += du
-    dpool = params.proj_w.T @ du
-    dtoken = dpool / len(cache.ids)
-    np.add.at(grads.tok_emb, cache.ids, dtoken)
-    np.add.at(grads.seg_emb, cache.segments, dtoken)
+    grads.proj_w += du.T @ cache.pool
+    grads.proj_b += du.sum(axis=0)
+    dpool = du @ params.proj_w
+    grads.tok_emb[cache.batch.columns] += cache.batch.tokens.T @ dpool
+    grads.seg_emb += cache.batch.segments.T @ dpool

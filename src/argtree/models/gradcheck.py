@@ -8,6 +8,7 @@ coordinate sweep stays fast enough to run inside the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -15,7 +16,13 @@ from ..features import FeatureRecord, FeatureSchema
 from .config import EncoderConfig
 from .encoder import EncoderVocab, pack_pair, pack_path_flat, pack_path_pairs
 from .logreg import design_matrix, label_vector, loss_and_grad
-from .neural import PackedExample, batch_loss_and_grads, dataset_loss, init_params
+from .neural import (
+    NeuralParams,
+    PackedExample,
+    batch_loss_and_grads,
+    dataset_loss,
+    init_params,
+)
 
 EPSILON = 1e-5
 LOGREG_TOLERANCE = 1e-6
@@ -101,38 +108,34 @@ _FIXTURE_TEXTS = [
 
 
 def _fixture_batch(kind: str, vocab: EncoderVocab, config: EncoderConfig) -> list[PackedExample]:
+    """Three examples; the third repeats a sequence of the first two.
+
+    For path-hier the paths hold 2, 3 and 1 edges, and the single edge of
+    the third is the last edge of the second, so the fixture covers paths
+    of different lengths, the longest-first reordering of the batch and,
+    with a shared encoder, one edge encoded once for two paths.
+    """
     texts = _FIXTURE_TEXTS
     if kind == "pair":
-        return [
-            PackedExample(
-                sequences=[pack_pair(vocab, texts[0], texts[1], config.truncate)],
-                label_index=0,
-            ),
-            PackedExample(
-                sequences=[pack_pair(vocab, texts[2], texts[3], config.truncate)],
-                label_index=1,
-            ),
+        sequences = [
+            [pack_pair(vocab, texts[0], texts[1], config.truncate)],
+            [pack_pair(vocab, texts[2], texts[3], config.truncate)],
+            [pack_pair(vocab, texts[0], texts[1], config.truncate)],
         ]
-    if kind == "path-flat":
-        return [
-            PackedExample(
-                sequences=[pack_path_flat(vocab, texts[:3], config.truncate)],
-                label_index=0,
-            ),
-            PackedExample(
-                sequences=[pack_path_flat(vocab, texts[1:], config.truncate)],
-                label_index=1,
-            ),
+    elif kind == "path-flat":
+        sequences = [
+            [pack_path_flat(vocab, texts[:3], config.truncate)],
+            [pack_path_flat(vocab, texts[1:], config.truncate)],
+            [pack_path_flat(vocab, texts[:3], config.truncate)],
+        ]
+    else:
+        sequences = [
+            pack_path_pairs(vocab, path, config.truncate, config.pair_order)
+            for path in (texts[:3], texts, texts[2:])
         ]
     return [
-        PackedExample(
-            sequences=pack_path_pairs(vocab, texts[:3], config.truncate, config.pair_order),
-            label_index=0,
-        ),
-        PackedExample(
-            sequences=pack_path_pairs(vocab, texts, config.truncate, config.pair_order),
-            label_index=1,
-        ),
+        PackedExample(sequences=seqs, label_index=label)
+        for seqs, label in zip(sequences, (0, 1, 1))
     ]
 
 
@@ -152,9 +155,17 @@ def gradcheck_neural(
     )
     vocab = EncoderVocab(tokens=["alpha", "beta", "gamma", "delta", "epsilon"])
     params = init_params(kind, vocab.size, config, seed)
-    batch = _fixture_batch(kind, vocab, config)
-    l2 = 1e-2
+    return gradcheck_batch(kind, params, _fixture_batch(kind, vocab, config), epsilon=epsilon)
 
+
+def gradcheck_batch(
+    kind: str,
+    params: NeuralParams,
+    batch: Sequence[PackedExample],
+    l2: float = 1e-2,
+    epsilon: float = EPSILON,
+) -> GradCheckResult:
+    """Central differences of dataset_loss against batch_loss_and_grads on `batch`."""
     _, grads = batch_loss_and_grads(kind, params, batch, l2)
     grad_blocks = grads.blocks()
     max_error = 0.0

@@ -7,9 +7,16 @@ Gates, for input x_t and previous state h_{t-1} (zero initial state):
     c_t = tanh(Wh x_t + Uh (r_t * h_{t-1}) + bh)
     h_t = (1 - z_t) * h_{t-1} + z_t * c_t
 
-The bidirectional wrapper runs an independently parameterized copy over
-the reversed sequence and reports its states aligned to input positions,
-so backward_states[0] is the final state of the reverse scan.
+Every pass runs a whole batch of sequences at once (PackedSteps: sorted
+longest first, time-major, padding dropped), so each step is one matmul
+per gate over the sequences still running. The input products W x are
+computed for all steps in one matmul per gate, and the weight gradients
+are summed with one matmul per block after the backward scan.
+
+The bidirectional wrapper runs an independently parameterized copy from
+each sequence's last position down to position 0 and reports its states
+aligned to input positions, so the backward state at position 0 is the
+final state of the reverse scan.
 """
 
 from __future__ import annotations
@@ -18,14 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    expz = np.exp(z[~pos])
-    out[~pos] = expz / (1.0 + expz)
-    return out
+from .logreg import _sigmoid
 
 
 @dataclass
@@ -54,30 +54,89 @@ GRU_BLOCK_NAMES = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"
 
 
 @dataclass
+class PackedSteps:
+    """A batch of variable-length sequences packed time-major, longest first.
+
+    This is the [steps, batch, input] array with its length mask applied:
+    the real entries in row-major order, with the padding dropped. Because
+    lengths never increase along the batch, the sequences that have a step
+    t are a prefix 0..sizes[t]-1 of it, and their step-t inputs are the
+    contiguous rows offsets[t]:offsets[t + 1] of `values`. len() is the
+    number of real steps.
+    """
+
+    values: np.ndarray  # real steps x input
+    lengths: np.ndarray  # batch, non-increasing, each >= 1
+
+    def __post_init__(self) -> None:
+        if self.lengths.size == 0 or self.lengths[-1] < 1 or np.any(np.diff(self.lengths) > 0):
+            raise ValueError("sequence lengths must be positive and non-increasing")
+        if self.values.shape[0] != self.lengths.sum():
+            raise ValueError("one row of values per real step expected")
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """How many sequences have a step t, for t = 0..longest-1."""
+        return np.bincount(self.lengths - 1)[::-1].cumsum()[::-1]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return np.concatenate([[0], self.sizes.cumsum()])
+
+    def row(self, step: np.ndarray, sequence: np.ndarray) -> np.ndarray:
+        """Row of `values` holding step `step` of sequence `sequence`."""
+        return self.offsets[step] + sequence
+
+
+@dataclass
 class GRUCache:
-    xs: np.ndarray  # T x input
-    z: np.ndarray  # T x hidden
+    steps: PackedSteps
+    reverse: bool
+    prev: np.ndarray  # real steps x hidden: the state each step starts from
+    z: np.ndarray  # real steps x hidden
     r: np.ndarray
     c: np.ndarray
-    h: np.ndarray
+    h: np.ndarray  # the state after each step
 
 
-def gru_forward(params: GRUParams, xs: np.ndarray) -> GRUCache:
-    steps = xs.shape[0]
+def _scan(steps: PackedSteps, reverse: bool) -> list[tuple[slice, int]]:
+    """(rows, running sequences) per step, in scan order."""
+    offsets = steps.offsets
+    order = [
+        (slice(offsets[t], offsets[t + 1]), offsets[t + 1] - offsets[t])
+        for t in range(len(offsets) - 1)
+    ]
+    return order[::-1] if reverse else order
+
+
+def gru_forward(params: GRUParams, steps: PackedSteps, reverse: bool = False) -> GRUCache:
+    """Scan positions 0..T-1 (T-1..0 when reverse) for every sequence at once.
+
+    A reverse scan starts each sequence from zero at its own last step:
+    the sequences that join at step t are the ones whose length is t + 1.
+    """
+    xs = steps.values
     hidden = params.hidden
-    z = np.zeros((steps, hidden))
-    r = np.zeros((steps, hidden))
-    c = np.zeros((steps, hidden))
-    h = np.zeros((steps, hidden))
-    h_prev = np.zeros(hidden)
-    for t in range(steps):
-        x = xs[t]
-        z[t] = _sigmoid(params.w_z @ x + params.u_z @ h_prev + params.b_z)
-        r[t] = _sigmoid(params.w_r @ x + params.u_r @ h_prev + params.b_r)
-        c[t] = np.tanh(params.w_h @ x + params.u_h @ (r[t] * h_prev) + params.b_h)
-        h[t] = (1.0 - z[t]) * h_prev + z[t] * c[t]
-        h_prev = h[t]
-    return GRUCache(xs=xs, z=z, r=r, c=c, h=h)
+    wz = xs @ params.w_z.T + params.b_z
+    wr = xs @ params.w_r.T + params.b_r
+    wh = xs @ params.w_h.T + params.b_h
+    prev = np.empty((len(xs), hidden))
+    z = np.empty_like(prev)
+    r = np.empty_like(prev)
+    c = np.empty_like(prev)
+    h = np.empty_like(prev)
+    state = np.zeros((len(steps.lengths), hidden))
+    for rows, n in _scan(steps, reverse):
+        prev[rows] = state[:n]
+        p = prev[rows]
+        z[rows] = _sigmoid(wz[rows] + p @ params.u_z.T)
+        r[rows] = _sigmoid(wr[rows] + p @ params.u_r.T)
+        c[rows] = np.tanh(wh[rows] + (r[rows] * p) @ params.u_h.T)
+        h[rows] = state[:n] = (1.0 - z[rows]) * p + z[rows] * c[rows]
+    return GRUCache(steps=steps, reverse=reverse, prev=prev, z=z, r=r, c=c, h=h)
 
 
 def gru_backward(
@@ -85,45 +144,37 @@ def gru_backward(
 ) -> np.ndarray:
     """Accumulate parameter gradients; return gradients w.r.t. the inputs.
 
-    dh holds the externally supplied gradient at every step; recurrent
-    contributions are added while walking backward.
+    dh holds the externally supplied gradient at every real step, packed
+    like the inputs; recurrent contributions are added while walking the
+    scan backward.
     """
-    steps = cache.xs.shape[0]
-    dxs = np.zeros_like(cache.xs)
-    carry = np.zeros(params.hidden)
-    for t in range(steps - 1, -1, -1):
-        h_prev = cache.h[t - 1] if t > 0 else np.zeros(params.hidden)
-        g = dh[t] + carry
-        z, r, c = cache.z[t], cache.r[t], cache.c[t]
-        x = cache.xs[t]
+    prev, z, r, c = cache.prev, cache.z, cache.r, cache.c
+    da_z = np.empty_like(prev)  # gradients of the gate pre-activations
+    da_r = np.empty_like(prev)
+    da_c = np.empty_like(prev)
+    carry = np.zeros((len(cache.steps.lengths), params.hidden))
+    for rows, n in _scan(cache.steps, not cache.reverse):
+        g = dh[rows] + carry[:n]
+        zt, rt, ct, pt = z[rows], r[rows], c[rows], prev[rows]
+        da_c[rows] = g * zt * (1.0 - ct * ct)
+        d_rh = da_c[rows] @ params.u_h
+        da_r[rows] = d_rh * pt * rt * (1.0 - rt)
+        da_z[rows] = g * (ct - pt) * zt * (1.0 - zt)
+        carry[:n] = (
+            g * (1.0 - zt) + d_rh * rt + da_r[rows] @ params.u_r + da_z[rows] @ params.u_z
+        )
 
-        dz = g * (c - h_prev)
-        dc = g * z
-        dh_prev = g * (1.0 - z)
-
-        da_c = dc * (1.0 - c * c)
-        grads.w_h += np.outer(da_c, x)
-        grads.u_h += np.outer(da_c, r * h_prev)
-        grads.b_h += da_c
-        d_rh = params.u_h.T @ da_c
-        dr = d_rh * h_prev
-        dh_prev += d_rh * r
-
-        da_r = dr * r * (1.0 - r)
-        grads.w_r += np.outer(da_r, x)
-        grads.u_r += np.outer(da_r, h_prev)
-        grads.b_r += da_r
-        dh_prev += params.u_r.T @ da_r
-
-        da_z = dz * z * (1.0 - z)
-        grads.w_z += np.outer(da_z, x)
-        grads.u_z += np.outer(da_z, h_prev)
-        grads.b_z += da_z
-        dh_prev += params.u_z.T @ da_z
-
-        dxs[t] = params.w_z.T @ da_z + params.w_r.T @ da_r + params.w_h.T @ da_c
-        carry = dh_prev
-    return dxs
+    xs = cache.steps.values
+    grads.w_z += da_z.T @ xs
+    grads.w_r += da_r.T @ xs
+    grads.w_h += da_c.T @ xs
+    grads.u_z += da_z.T @ prev
+    grads.u_r += da_r.T @ prev
+    grads.u_h += da_c.T @ (r * prev)
+    grads.b_z += da_z.sum(axis=0)
+    grads.b_r += da_r.sum(axis=0)
+    grads.b_h += da_c.sum(axis=0)
+    return da_z @ params.w_z + da_r @ params.w_r + da_c @ params.w_h
 
 
 @dataclass
@@ -138,14 +189,20 @@ class BiGRUParams:
 @dataclass
 class BiGRUCache:
     fwd: GRUCache
-    bwd: GRUCache  # computed over the reversed inputs
+    bwd: GRUCache  # scanned from each sequence's last position to its first
 
 
-def bigru_forward(params: BiGRUParams, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, BiGRUCache]:
-    """Returns (forward_states, backward_states) aligned to input positions."""
-    fwd_cache = gru_forward(params.fwd, xs)
-    bwd_cache = gru_forward(params.bwd, xs[::-1])
-    return fwd_cache.h, bwd_cache.h[::-1], BiGRUCache(fwd=fwd_cache, bwd=bwd_cache)
+def bigru_forward(
+    params: BiGRUParams, steps: PackedSteps
+) -> tuple[np.ndarray, np.ndarray, BiGRUCache]:
+    """Returns (forward_states, backward_states), packed like steps.values.
+
+    Both are aligned to input positions: a sequence's forward state at its
+    last step and its backward state at step 0 have each read all of it.
+    """
+    fwd_cache = gru_forward(params.fwd, steps)
+    bwd_cache = gru_forward(params.bwd, steps, reverse=True)
+    return fwd_cache.h, bwd_cache.h, BiGRUCache(fwd=fwd_cache, bwd=bwd_cache)
 
 
 def bigru_backward(
@@ -155,7 +212,6 @@ def bigru_backward(
     dh_bwd: np.ndarray,
     grads: BiGRUParams,
 ) -> np.ndarray:
-    """dh_fwd / dh_bwd are position-aligned gradients for the two directions."""
+    """dh_fwd / dh_bwd are position-aligned gradients, packed like the states."""
     dx = gru_backward(params.fwd, cache.fwd, dh_fwd, grads.fwd)
-    dx_rev = gru_backward(params.bwd, cache.bwd, dh_bwd[::-1], grads.bwd)
-    return dx + dx_rev[::-1]
+    return dx + gru_backward(params.bwd, cache.bwd, dh_bwd, grads.bwd)

@@ -80,12 +80,9 @@ def label_vector(records: Sequence[FeatureRecord], label_names: Sequence[str]) -
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    expz = np.exp(z[~pos])
-    out[~pos] = expz / (1.0 + expz)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def loss_and_grad(

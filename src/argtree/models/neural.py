@@ -13,6 +13,12 @@ Three model kinds share one training loop:
   concatenation of the forward output at the last position and the
   backward output at the first.
 
+Every forward and backward pass runs a whole minibatch at once (see
+Batch); dataset_loss and predict_packed run chunks of INFERENCE_CHUNK
+examples the same way. In a batch each distinct packed sequence is
+encoded once per encoder that reads it, and its gradient is the sum over
+the places that read it.
+
 All matrices initialize uniformly in +-1/sqrt(fan_in) with fan_in the
 column count; biases start at zero. L2 applies to 2-D blocks only.
 Training is seeded mini-batch gradient descent with best-dev
@@ -24,7 +30,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,6 +48,8 @@ from .encoder import (
     EncodeCache,
     EncoderParams,
     EncoderVocab,
+    SequenceBatch,
+    batch_sequences,
     build_encoder_vocab,
     encode,
     encode_backward,
@@ -49,7 +57,16 @@ from .encoder import (
     pack_path_flat,
     pack_path_pairs,
 )
-from .gru import GRU_BLOCK_NAMES, BiGRUParams, GRUParams, bigru_backward, bigru_forward
+from .gru import (
+    GRU_BLOCK_NAMES,
+    BiGRUCache,
+    BiGRUParams,
+    GRUParams,
+    PackedSteps,
+    bigru_backward,
+    bigru_forward,
+)
+from .logreg import _batches
 
 MODEL_KINDS = ("pair", "path-flat", "path-hier")
 
@@ -71,8 +88,11 @@ class NeuralParams:
             cls_b=np.zeros_like(self.cls_b),
         )
 
+    def encoder_index(self, position: int) -> int:
+        return min(position, len(self.encoders) - 1)
+
     def encoder_for(self, position: int) -> EncoderParams:
-        return self.encoders[min(position, len(self.encoders) - 1)]
+        return self.encoders[self.encoder_index(position)]
 
     def blocks(self) -> dict[str, np.ndarray]:
         """Named views of every parameter array, in a canonical order."""
@@ -204,71 +224,124 @@ def pack_dataset(
     return packed
 
 
+# Examples per forward pass in dataset_loss and predict_packed. Larger
+# chunks run no faster and hold more memory.
+INFERENCE_CHUNK = 128
+
+
+@dataclass
+class Batch:
+    """A minibatch laid out for the batched kernels.
+
+    Examples are sorted by sequence count, longest first (`order` holds
+    their positions in the input), so the GRU can run only the prefix of
+    the batch that is still running. Each distinct (encoder, packed
+    sequence) of the batch is encoded once: `groups` holds one
+    SequenceBatch per encoder, and their outputs stacked in group order
+    form the rows that `slots` gathers from. The slots are the real steps
+    in time-major order, the row order of PackedSteps.
+    """
+
+    order: np.ndarray
+    lengths: np.ndarray
+    groups: list[tuple[int, SequenceBatch]]
+    slots: np.ndarray
+    labels: np.ndarray
+
+
+def make_batch(params: NeuralParams, packed: Sequence[PackedExample]) -> Batch:
+    lengths = np.array([len(example.sequences) for example in packed], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    ordered = [packed[i] for i in order]
+    rows: list[dict[bytes, int]] = [{} for _ in params.encoders]
+    sequences: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in params.encoders]
+    keys: list[tuple[int, int]] = []
+    for t in range(lengths.max()):
+        encoder = params.encoder_index(t)
+        for example in ordered:
+            if len(example.sequences) <= t:
+                break
+            ids, segments = example.sequences[t]
+            key = ids.tobytes() + segments.tobytes()
+            row = rows[encoder].get(key)
+            if row is None:
+                row = rows[encoder][key] = len(sequences[encoder])
+                sequences[encoder].append((ids, segments))
+            keys.append((encoder, row))
+    offsets = np.cumsum([0] + [len(seqs) for seqs in sequences])
+    return Batch(
+        order=order,
+        lengths=lengths[order],
+        groups=[(e, batch_sequences(seqs)) for e, seqs in enumerate(sequences) if seqs],
+        slots=np.array([offsets[e] + row for e, row in keys], dtype=np.int64),
+        labels=np.array([example.label_index for example in ordered], dtype=np.int64),
+    )
+
+
 @dataclass
 class ForwardCache:
-    encode_caches: list[EncodeCache]
-    gru_cache: object
-    representation: np.ndarray
-    probs: np.ndarray
+    encode_caches: list[EncodeCache]  # one per entry of Batch.groups
+    gru_cache: Optional[BiGRUCache]
+    representation: np.ndarray  # examples x features
+    probs: np.ndarray  # examples x 2
 
 
-def forward_example(
-    kind: str, params: NeuralParams, packed: PackedExample
-) -> ForwardCache:
-    encode_caches = [
-        encode(params.encoder_for(k), ids, segments)
-        for k, (ids, segments) in enumerate(packed.sequences)
-    ]
+def forward_batch(kind: str, params: NeuralParams, batch: Batch) -> ForwardCache:
+    encode_caches = [encode(params.encoders[e], seqs) for e, seqs in batch.groups]
+    states = np.concatenate([cache.h for cache in encode_caches])[batch.slots]
     gru_cache = None
     if kind == "path-hier":
-        xs = np.stack([cache.h for cache in encode_caches])
-        fwd_states, bwd_states, gru_cache = bigru_forward(params.gru, xs)
-        representation = np.concatenate([fwd_states[-1], bwd_states[0]])
+        steps = PackedSteps(values=states, lengths=batch.lengths)
+        fwd_states, bwd_states, gru_cache = bigru_forward(params.gru, steps)
+        sequences = np.arange(len(batch.lengths))
+        representation = np.concatenate(
+            [fwd_states[steps.row(batch.lengths - 1, sequences)], bwd_states[sequences]], axis=1
+        )
     else:
-        representation = encode_caches[0].h
-    logits = params.cls_w @ representation + params.cls_b
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    probs = exp / exp.sum()
+        representation = states
+    logits = representation @ params.cls_w.T + params.cls_b
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
     return ForwardCache(
         encode_caches=encode_caches,
         gru_cache=gru_cache,
         representation=representation,
-        probs=probs,
+        probs=exp / exp.sum(axis=1, keepdims=True),
     )
 
 
-def backward_example(
-    kind: str,
-    params: NeuralParams,
-    packed: PackedExample,
-    cache: ForwardCache,
-    grads: NeuralParams,
-    scale: float,
+def backward_batch(
+    kind: str, params: NeuralParams, batch: Batch, cache: ForwardCache, grads: NeuralParams
 ) -> None:
+    """Accumulate the gradients of the batch's mean cross-entropy."""
     dlogits = cache.probs.copy()
-    dlogits[packed.label_index] -= 1.0
-    dlogits *= scale
-    grads.cls_w += np.outer(dlogits, cache.representation)
-    grads.cls_b += dlogits
-    drep = params.cls_w.T @ dlogits
+    dlogits[np.arange(len(batch.labels)), batch.labels] -= 1.0
+    dlogits /= len(batch.labels)
+    grads.cls_w += dlogits.T @ cache.representation
+    grads.cls_b += dlogits.sum(axis=0)
+    drep = dlogits @ params.cls_w
     if kind == "path-hier":
         hidden = params.gru.fwd.hidden
-        steps = len(packed.sequences)
-        dh_fwd = np.zeros((steps, hidden))
-        dh_bwd = np.zeros((steps, hidden))
-        dh_fwd[-1] = drep[:hidden]
-        dh_bwd[0] = drep[hidden:]
-        dxs = bigru_backward(params.gru, cache.gru_cache, dh_fwd, dh_bwd, grads.gru)
-        for k, encode_cache in enumerate(cache.encode_caches):
-            encode_backward(
-                params.encoder_for(k),
-                encode_cache,
-                dxs[k],
-                grads.encoder_for(k),
-            )
-    else:
-        encode_backward(params.encoders[0], cache.encode_caches[0], drep, grads.encoders[0])
+        steps = cache.gru_cache.fwd.steps
+        sequences = np.arange(len(batch.lengths))
+        dh_fwd = np.zeros((len(steps), hidden))
+        dh_bwd = np.zeros_like(dh_fwd)
+        dh_fwd[steps.row(batch.lengths - 1, sequences)] = drep[:, :hidden]
+        dh_bwd[sequences] = drep[:, hidden:]
+        drep = bigru_backward(params.gru, cache.gru_cache, dh_fwd, dh_bwd, grads.gru)
+    # Sum the gradients of slots that share an encoded sequence.
+    order = np.argsort(batch.slots, kind="stable")
+    _, starts = np.unique(batch.slots[order], return_index=True)
+    dstates = np.add.reduceat(drep[order], starts, axis=0)
+    start = 0
+    for (e, _), encode_cache in zip(batch.groups, cache.encode_caches):
+        stop = start + encode_cache.h.shape[0]
+        encode_backward(params.encoders[e], encode_cache, dstates[start:stop], grads.encoders[e])
+        start = stop
+
+
+def _cross_entropy_sum(cache: ForwardCache, labels: np.ndarray) -> float:
+    picked = cache.probs[np.arange(len(labels)), labels]
+    return -float(np.log(picked + 1e-12).sum())
 
 
 def _l2_penalty(params: NeuralParams, l2: float) -> float:
@@ -286,37 +359,33 @@ def batch_loss_and_grads(
 ) -> tuple[float, NeuralParams]:
     """Mean cross-entropy over the batch plus L2 on 2-D blocks."""
     grads = params.zeros_like()
-    scale = 1.0 / len(batch)
-    data_loss = 0.0
-    eps = 1e-12
-    for packed in batch:
-        cache = forward_example(kind, params, packed)
-        data_loss -= math.log(float(cache.probs[packed.label_index]) + eps)
-        backward_example(kind, params, packed, cache, grads, scale)
+    laid_out = make_batch(params, batch)
+    cache = forward_batch(kind, params, laid_out)
+    backward_batch(kind, params, laid_out, cache, grads)
     if l2 != 0.0:
         param_blocks = params.blocks()
         for name, gblock in grads.blocks().items():
             if gblock.ndim == 2:
                 gblock += l2 * param_blocks[name]
-    return data_loss * scale + _l2_penalty(params, l2), grads
+    data_loss = _cross_entropy_sum(cache, laid_out.labels) / len(batch)
+    return data_loss + _l2_penalty(params, l2), grads
 
 
 def dataset_loss(
     kind: str, params: NeuralParams, packed: Sequence[PackedExample], l2: float
 ) -> float:
-    eps = 1e-12
     total = 0.0
-    for example in packed:
-        cache = forward_example(kind, params, example)
-        total -= math.log(float(cache.probs[example.label_index]) + eps)
+    for start in range(0, len(packed), INFERENCE_CHUNK):
+        batch = make_batch(params, packed[start : start + INFERENCE_CHUNK])
+        total += _cross_entropy_sum(forward_batch(kind, params, batch), batch.labels)
     return total / len(packed) + _l2_penalty(params, l2)
 
 
 def predict_packed(kind: str, params: NeuralParams, packed: Sequence[PackedExample]) -> np.ndarray:
     out = np.zeros(len(packed), dtype=np.int64)
-    for i, example in enumerate(packed):
-        cache = forward_example(kind, params, example)
-        out[i] = int(np.argmax(cache.probs))
+    for start in range(0, len(packed), INFERENCE_CHUNK):
+        batch = make_batch(params, packed[start : start + INFERENCE_CHUNK])
+        out[start + batch.order] = np.argmax(forward_batch(kind, params, batch).probs, axis=1)
     return out
 
 
@@ -337,11 +406,6 @@ class NeuralModel:
         )
         indices = predict_packed(self.kind, self.params, packed)
         return [self.label_names[i] for i in indices]
-
-
-def _batches(n: int, batch_size: int, order: np.ndarray) -> Iterator[np.ndarray]:
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
 
 
 def train_neural(

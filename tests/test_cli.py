@@ -5,9 +5,13 @@ from __future__ import annotations
 import csv
 import json
 import os
+import stat
+import subprocess
+import sys
 
 import pytest
 
+import argtree
 from argtree.cli import main
 from argtree.corpus_io import parse_corpus_file
 from argtree.features import read_features_file
@@ -464,3 +468,47 @@ def test_atomic_write_leaves_no_temp_files(pipeline):
     directory = os.path.dirname(str(pipeline["corpus"]))
     leftovers = [name for name in os.listdir(directory) if name.startswith(".argtree-")]
     assert leftovers == []
+
+
+def test_outputs_follow_the_umask(tmp_path):
+    config = tmp_path / "synth.conf"
+    config.write_text(SYNTH_CONFIG, encoding="utf-8")
+    out = tmp_path / "corpus.jsonl"
+    previous = os.umask(0o022)
+    try:
+        assert main(["synth", "--config", str(config), "-o", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert stat.filemode(os.stat(out).st_mode) == "-rw-r--r--"
+
+
+HIER_CONFIG = """\
+learning_rate = 0.3
+batch_size = 16
+max_epochs = 2
+patience = 0
+min_count = 1
+"""
+
+
+def test_hier_checkpoint_is_identical_across_blas_thread_counts(pipeline, tmp_path):
+    """The batched kernels' matmuls are large enough for OpenBLAS to thread."""
+    config = tmp_path / "hier.conf"
+    config.write_text(HIER_CONFIG, encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(argtree.__file__)))
+    checkpoints = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"hier-{threads}.ckpt"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "argtree.cli", "train", "--model", "path-hier",
+                "--task", "stance", "--seed", "3", "--config", str(config),
+                "--train", str(pipeline["stance_pairs"]), "--dev", str(pipeline["stance_test"]),
+                "-o", str(out),
+            ],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        checkpoints.append(out.read_bytes())
+    assert checkpoints[0] == checkpoints[1]

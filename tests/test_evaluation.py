@@ -269,6 +269,10 @@ def test_degenerate_differences():
     assert shifted.degenerate and shifted.p == 0.0 and shifted.t == math.inf
     negative = paired_t_test([0.0, 0.0], [1.0, 1.0])
     assert negative.t == -math.inf and negative.p == 0.0
+    # 0.2 - 0.1 three times: the float mean is an ulp above 0.1, so the
+    # variance is not exactly zero, but every difference is the same.
+    inexact = paired_t_test([0.2] * 3, [0.1] * 3)
+    assert inexact.degenerate and inexact.p == 0.0 and inexact.t == math.inf
 
 
 def test_t_test_input_validation():

@@ -11,6 +11,7 @@ from argtree.models.encoder import (
     PAD_ID,
     SEP_ID,
     EncoderVocab,
+    batch_sequences,
     build_encoder_vocab,
     encode,
     pack_pair,
@@ -92,17 +93,32 @@ def test_encode_is_mean_pool_then_tanh():
     params = init_params("pair", VOCAB.size, config, seed=0)
     enc = params.encoders[0]
     ids, segments = pack_pair(VOCAB, "alpha", "beta", truncate=8)
-    cache = encode(enc, ids, segments)
+    cache = encode(enc, batch_sequences([(ids, segments)]))
     pool = (enc.tok_emb[ids].sum(axis=0) + enc.seg_emb[segments].sum(axis=0)) / len(ids)
-    assert cache.pool == pytest.approx(pool)
-    assert cache.h == pytest.approx(np.tanh(enc.proj_w @ pool + enc.proj_b))
-    assert cache.h.shape == (8,)
+    assert cache.pool[0] == pytest.approx(pool)
+    assert cache.h[0] == pytest.approx(np.tanh(enc.proj_w @ pool + enc.proj_b))
+    assert cache.h.shape == (1, 8)
 
 
 def test_encode_deterministic_for_same_input():
     config = EncoderConfig(dim=8, hidden=8, min_count=1)
     params = init_params("pair", VOCAB.size, config, seed=3)
     ids, segments = pack_pair(VOCAB, "alpha gamma", "beta", truncate=8)
-    h1 = encode(params.encoders[0], ids, segments).h
-    h2 = encode(params.encoders[0], ids, segments).h
+    h1 = encode(params.encoders[0], batch_sequences([(ids, segments)])).h
+    h2 = encode(params.encoders[0], batch_sequences([(ids, segments)])).h
     assert np.array_equal(h1, h2)
+
+
+def test_batch_pools_each_sequence_by_its_own_length():
+    config = EncoderConfig(dim=8, hidden=8, min_count=1)
+    enc = init_params("pair", VOCAB.size, config, seed=4).encoders[0]
+    sequences = [
+        pack_pair(VOCAB, "alpha beta", "gamma", truncate=8),
+        pack_pair(VOCAB, "gamma", "gamma unknown alpha", truncate=8),
+        pack_path_flat(VOCAB, ["beta", "alpha", "gamma"], truncate=8),
+    ]
+    cache = encode(enc, batch_sequences(sequences))
+    for row, (ids, segments) in enumerate(sequences):
+        single = encode(enc, batch_sequences([(ids, segments)]))
+        np.testing.assert_allclose(cache.pool[row], single.pool[0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(cache.h[row], single.h[0], rtol=0, atol=1e-15)

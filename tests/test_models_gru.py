@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from argtree.models.gru import (
     BiGRUParams,
     GRUParams,
+    PackedSteps,
+    bigru_backward,
     bigru_forward,
     gru_forward,
 )
+
+import neural_reference
 
 
 def _sigmoid(x):
@@ -30,6 +35,13 @@ def _random_params(rng, hidden, dim) -> GRUParams:
     )
 
 
+def _pack(sequences: list[np.ndarray]) -> PackedSteps:
+    """Time-major packing of sequences already sorted longest first."""
+    longest = len(sequences[0])
+    rows = [seq[t] for t in range(longest) for seq in sequences if t < len(seq)]
+    return PackedSteps(values=np.array(rows), lengths=np.array([len(s) for s in sequences]))
+
+
 def _reference_gru(params: GRUParams, xs: np.ndarray) -> np.ndarray:
     """Independent re-implementation of the gated recurrence."""
     h_prev = np.zeros(params.hidden)
@@ -47,7 +59,7 @@ def test_gru_forward_matches_reference():
     rng = np.random.default_rng(0)
     params = _random_params(rng, hidden=5, dim=3)
     xs = rng.normal(size=(6, 3))
-    cache = gru_forward(params, xs)
+    cache = gru_forward(params, _pack([xs]))
     expected = _reference_gru(params, xs)
     np.testing.assert_allclose(cache.h, expected, rtol=0, atol=1e-12)
 
@@ -56,7 +68,7 @@ def test_gru_starts_from_zero_state():
     rng = np.random.default_rng(1)
     params = _random_params(rng, hidden=4, dim=2)
     x = rng.normal(size=(1, 2))
-    cache = gru_forward(params, x)
+    cache = gru_forward(params, _pack([x]))
     z = _sigmoid(params.w_z @ x[0] + params.b_z)
     r = _sigmoid(params.w_r @ x[0] + params.b_r)
     candidate = np.tanh(params.w_h @ x[0] + params.b_h)  # r * 0 drops the U_h term
@@ -69,7 +81,7 @@ def test_bigru_alignment():
     rng = np.random.default_rng(2)
     params = BiGRUParams(fwd=_random_params(rng, 4, 3), bwd=_random_params(rng, 4, 3))
     xs = rng.normal(size=(5, 3))
-    fwd_states, bwd_states, _ = bigru_forward(params, xs)
+    fwd_states, bwd_states, _ = bigru_forward(params, _pack([xs]))
     assert fwd_states.shape == bwd_states.shape == (5, 4)
     np.testing.assert_allclose(fwd_states, _reference_gru(params.fwd, xs), atol=1e-12)
     reversed_run = _reference_gru(params.bwd, xs[::-1])
@@ -84,5 +96,50 @@ def test_single_step_fwd_equals_bwd_run():
     shared = _random_params(rng, 4, 3)
     params = BiGRUParams(fwd=shared, bwd=shared)
     xs = rng.normal(size=(1, 3))
-    fwd_states, bwd_states, _ = bigru_forward(params, xs)
+    fwd_states, bwd_states, _ = bigru_forward(params, _pack([xs]))
     np.testing.assert_allclose(fwd_states, bwd_states, atol=1e-12)
+
+
+def test_packed_rows_are_time_major():
+    steps = _pack([np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((1, 2))])
+    assert len(steps) == 7
+    assert steps.sizes.tolist() == [3, 2, 2]
+    assert steps.offsets.tolist() == [0, 3, 5, 7]
+    assert steps.row(np.array([2, 0]), np.array([1, 2])).tolist() == [6, 2]
+
+
+def test_packed_steps_reject_unsorted_lengths():
+    with pytest.raises(ValueError, match="non-increasing"):
+        PackedSteps(values=np.zeros((3, 2)), lengths=np.array([1, 2]))
+    with pytest.raises(ValueError, match="one row"):
+        PackedSteps(values=np.zeros((4, 2)), lengths=np.array([2, 1]))
+
+
+def test_batched_bigru_matches_per_sequence_reference():
+    """Mixed lengths, with gaps between them, against one sequence at a time."""
+    rng = np.random.default_rng(4)
+    params = BiGRUParams(fwd=_random_params(rng, 4, 3), bwd=_random_params(rng, 4, 3))
+    sequences = [rng.normal(size=(length, 3)) for length in (4, 4, 2, 1, 1)]
+    steps = _pack(sequences)
+    fwd_states, bwd_states, cache = bigru_forward(params, steps)
+    dh_fwd = rng.normal(size=fwd_states.shape)
+    dh_bwd = rng.normal(size=bwd_states.shape)
+    grads = params.zeros_like()
+    dxs = bigru_backward(params, cache, dh_fwd, dh_bwd, grads)
+
+    expected_grads = params.zeros_like()
+    for b, xs in enumerate(sequences):
+        rows = steps.row(np.arange(len(xs)), np.full(len(xs), b))
+        fwd, bwd, ref_cache = neural_reference.bigru_forward(params, xs)
+        np.testing.assert_allclose(fwd_states[rows], fwd, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bwd_states[rows], bwd, rtol=0, atol=1e-12)
+        ref_dxs = neural_reference.bigru_backward(
+            params, ref_cache, dh_fwd[rows], dh_bwd[rows], expected_grads
+        )
+        np.testing.assert_allclose(dxs[rows], ref_dxs, rtol=0, atol=1e-12)
+    for direction in ("fwd", "bwd"):
+        got, want = getattr(grads, direction), getattr(expected_grads, direction)
+        for name in ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"):
+            np.testing.assert_allclose(
+                getattr(got, name), getattr(want, name), rtol=0, atol=1e-12
+            )

@@ -25,8 +25,9 @@ from argtree.models.gradcheck import (
 from argtree.models.neural import (
     dataset_loss,
     example_sequences,
-    forward_example,
+    forward_batch,
     init_params,
+    make_batch,
     pack_dataset,
     train_neural,
 )
@@ -188,9 +189,9 @@ def test_init_rejects_unknown_kind():
 def test_hier_representation_concatenates_both_directions():
     params = init_params("path-hier", VOCAB.size, CONFIG, seed=1)
     packed = pack_dataset("path-hier", [PATH_EXAMPLE], VOCAB, CONFIG, ["opposes", "supports"])
-    cache = forward_example("path-hier", params, packed[0])
-    assert cache.representation.shape == (2 * CONFIG.hidden,)
-    assert cache.probs.shape == (2,)
+    cache = forward_batch("path-hier", params, make_batch(params, packed))
+    assert cache.representation.shape == (1, 2 * CONFIG.hidden)
+    assert cache.probs.shape == (1, 2)
     assert cache.probs.sum() == pytest.approx(1.0)
 
 
