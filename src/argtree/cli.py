@@ -55,7 +55,6 @@ from .models import (
     dump_checkpoint,
     gradcheck_logreg,
     gradcheck_neural,
-    length_predict,
     load_model,
     majority_fit,
     model_payload,
@@ -68,6 +67,7 @@ from .pairs import (
     SpecificityExample,
     derive_specificity_examples,
     derive_stance_examples,
+    located_error,
     read_pairs_file,
     read_split_file,
     split_by_topic,
@@ -220,10 +220,13 @@ def _read_pairs_with_task(path: str) -> tuple[str, list]:
 def _detect_dataset_kind(path: str) -> str:
     """'features' for feature files, 'pairs' for derived-pair files."""
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise located_error(path, line_no, exc) from None
             if not isinstance(record, dict):
                 break
             if record.get("schema") == "argtree-features/1":
@@ -553,15 +556,16 @@ def _predict_items(model: object, test_path: str) -> tuple[str, str, list[EvalIt
         task, examples = _read_pairs_with_task(test_path)
         if task != "specificity":
             raise ValueError("the length baseline scores specificity pairs only")
+        predicted = model.predict_labels(examples)
         items = [
             EvalItem(
                 topic_id=e.topic_id,
                 distance=e.distance,
                 same_stance=e.same_stance,
                 gold=e.label.value,
-                predicted=length_predict(e.first_text, e.second_text).value,
+                predicted=pred,
             )
-            for e in examples
+            for e, pred in zip(examples, predicted)
         ]
         return task, "length", items
 

@@ -9,14 +9,16 @@ trainer using training-split statistics.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .pairs import SpecificityExample, StanceExample
+from .pairs import SpecificityExample, StanceExample, located_error
 from .text import tokenize
 
 PERSONAL_PRONOUNS = frozenset(
@@ -55,10 +57,11 @@ class Vocabulary:
 def build_vocabulary(
     texts: Iterable[str], min_count: int = 2, built_from: str = "train"
 ) -> Vocabulary:
+    """Each distinct text is tokenized once; its tokens count once per occurrence."""
     counts: dict[str, int] = {}
-    for text in texts:
+    for text, occurrences in Counter(texts).items():
         for token in tokenize(text):
-            counts[token] = counts.get(token, 0) + 1
+            counts[token] = counts.get(token, 0) + occurrences
     kept = sorted(
         (token for token, count in counts.items() if count >= min_count),
         key=lambda t: (-counts[t], t),
@@ -189,21 +192,30 @@ class FeatureVector:
     dense: dict[str, float] = field(default_factory=dict)
 
 
-def _bow_counts(vocab: Vocabulary, text: str) -> dict[int, float]:
+def _bow_counts(vocab: Vocabulary, tokens: Sequence[str]) -> dict[int, float]:
     counts: dict[int, float] = {}
-    for token in tokenize(text):
+    for token in tokens:
         index = vocab.token_to_index.get(token)
         if index is not None:
             counts[index] = counts.get(index, 0.0) + 1.0
     return counts
 
 
+def _bow_diff(first: dict[int, float], second: dict[int, float]) -> dict[int, float]:
+    """count(second) - count(first), zeros dropped."""
+    diff = dict(second)
+    for index, count in first.items():
+        diff[index] = diff.get(index, 0.0) - count
+    return {i: v for i, v in diff.items() if v != 0.0}
+
+
 def bow_pair_features(vocab: Vocabulary, first_text: str, second_text: str) -> FeatureVector:
     """Difference encoding: count(second) - count(first), zeros dropped."""
-    diff = _bow_counts(vocab, second_text)
-    for index, count in _bow_counts(vocab, first_text).items():
-        diff[index] = diff.get(index, 0.0) - count
-    return FeatureVector(sparse={i: v for i, v in diff.items() if v != 0.0})
+    return FeatureVector(
+        sparse=_bow_diff(
+            _bow_counts(vocab, tokenize(first_text)), _bow_counts(vocab, tokenize(second_text))
+        )
+    )
 
 
 SPECIFICITY_DENSE_NAMES = (
@@ -219,21 +231,19 @@ SPECIFICITY_DENSE_NAMES = (
 )
 
 
-def _surface_triple(lexicon: Lexicon, text: str) -> tuple[float, float, float]:
-    tokens = tokenize(text)
+def _surface_triple(lexicon: Lexicon, tokens: Sequence[str]) -> tuple[float, float, float]:
     length = float(len(tokens))
     pronouns = float(sum(1 for t in tokens if t in PERSONAL_PRONOUNS))
     polarity_strength = float(sum(abs(lexicon.polarity(t)) for t in tokens))
     return length, pronouns, polarity_strength
 
 
-def specificity_surface_features(
-    lexicon: Lexicon, first_text: str, second_text: str
-) -> FeatureVector:
-    """Per-claim length, pronoun count and polarity strength, plus diffs."""
-    len_a, pron_a, pol_a = _surface_triple(lexicon, first_text)
-    len_b, pron_b, pol_b = _surface_triple(lexicon, second_text)
-    dense = {
+def _surface_dense(
+    first: tuple[float, float, float], second: tuple[float, float, float]
+) -> dict[str, float]:
+    len_a, pron_a, pol_a = first
+    len_b, pron_b, pol_b = second
+    return {
         "len_first": len_a,
         "len_second": len_b,
         "len_diff": len_b - len_a,
@@ -244,7 +254,18 @@ def specificity_surface_features(
         "pol_second": pol_b,
         "pol_diff": pol_b - pol_a,
     }
-    return FeatureVector(dense=dense)
+
+
+def specificity_surface_features(
+    lexicon: Lexicon, first_text: str, second_text: str
+) -> FeatureVector:
+    """Per-claim length, pronoun count and polarity strength, plus diffs."""
+    return FeatureVector(
+        dense=_surface_dense(
+            _surface_triple(lexicon, tokenize(first_text)),
+            _surface_triple(lexicon, tokenize(second_text)),
+        )
+    )
 
 
 STANCE_DENSE_NAMES = (
@@ -259,6 +280,62 @@ STANCE_DENSE_NAMES = (
     "subj_weak_b",
 )
 STANCE_EMBED_NAME = "embed_cosine"
+
+
+@dataclass
+class _StanceText:
+    """What the stance features read from one text."""
+
+    counts: dict[int, float]
+    content: set[str]
+    pol_sum: float
+    subj_strong: float
+    subj_weak: float
+    mean: Optional[np.ndarray]
+    norm: float
+
+
+def _stance_text(
+    vocab: Vocabulary,
+    lexicon: Lexicon,
+    text: str,
+    embeddings: Optional[EmbeddingTable],
+    stop_tokens: frozenset[str],
+) -> _StanceText:
+    tokens = tokenize(text)
+    mean = None if embeddings is None else embeddings.mean_vector(tokens)
+    return _StanceText(
+        counts=_bow_counts(vocab, tokens),
+        content={t for t in tokens if t not in stop_tokens},
+        pol_sum=sum(lexicon.polarity(t) for t in tokens),
+        subj_strong=float(sum(1 for t in tokens if lexicon.subjectivity(t) == "strong")),
+        subj_weak=float(sum(1 for t in tokens if lexicon.subjectivity(t) == "weak")),
+        mean=mean,
+        norm=0.0 if mean is None else float(np.linalg.norm(mean)),
+    )
+
+
+def _stance_features(a: _StanceText, b: _StanceText) -> FeatureVector:
+    union = a.content | b.content
+    intersection = a.content & b.content
+    jaccard = 1.0 if not union else len(intersection) / len(union)
+    dense = {
+        "word_match": float(len(intersection)),
+        "jaccard": jaccard,
+        "sentiment_match": 1.0 if np.sign(a.pol_sum) == np.sign(b.pol_sum) else 0.0,
+        "pol_sum_a": a.pol_sum,
+        "pol_sum_b": b.pol_sum,
+        "subj_strong_a": a.subj_strong,
+        "subj_weak_a": a.subj_weak,
+        "subj_strong_b": b.subj_strong,
+        "subj_weak_b": b.subj_weak,
+    }
+    if a.mean is not None:
+        if a.norm == 0.0 or b.norm == 0.0:
+            dense[STANCE_EMBED_NAME] = 0.0
+        else:
+            dense[STANCE_EMBED_NAME] = float(a.mean @ b.mean / (a.norm * b.norm))
+    return FeatureVector(sparse=_bow_diff(a.counts, b.counts), dense=dense)
 
 
 def stance_pair_features(
@@ -279,38 +356,17 @@ def stance_pair_features(
     """
     if stop_tokens is None:
         stop_tokens = vocab.stop_tokens()
-    vector = bow_pair_features(vocab, a_text, b_text)
-    tokens_a = tokenize(a_text)
-    tokens_b = tokenize(b_text)
-    content_a = {t for t in tokens_a if t not in stop_tokens}
-    content_b = {t for t in tokens_b if t not in stop_tokens}
-    union = content_a | content_b
-    intersection = content_a & content_b
-    jaccard = 1.0 if not union else len(intersection) / len(union)
-    pol_sum_a = sum(lexicon.polarity(t) for t in tokens_a)
-    pol_sum_b = sum(lexicon.polarity(t) for t in tokens_b)
-    dense = {
-        "word_match": float(len(intersection)),
-        "jaccard": jaccard,
-        "sentiment_match": 1.0 if np.sign(pol_sum_a) == np.sign(pol_sum_b) else 0.0,
-        "pol_sum_a": pol_sum_a,
-        "pol_sum_b": pol_sum_b,
-        "subj_strong_a": float(sum(1 for t in tokens_a if lexicon.subjectivity(t) == "strong")),
-        "subj_weak_a": float(sum(1 for t in tokens_a if lexicon.subjectivity(t) == "weak")),
-        "subj_strong_b": float(sum(1 for t in tokens_b if lexicon.subjectivity(t) == "strong")),
-        "subj_weak_b": float(sum(1 for t in tokens_b if lexicon.subjectivity(t) == "weak")),
-    }
-    if embeddings is not None:
-        mean_a = embeddings.mean_vector(tokens_a)
-        mean_b = embeddings.mean_vector(tokens_b)
-        norm_a = float(np.linalg.norm(mean_a))
-        norm_b = float(np.linalg.norm(mean_b))
-        if norm_a == 0.0 or norm_b == 0.0:
-            dense[STANCE_EMBED_NAME] = 0.0
-        else:
-            dense[STANCE_EMBED_NAME] = float(mean_a @ mean_b / (norm_a * norm_b))
-    vector.dense = dense
-    return vector
+    return _stance_features(
+        _stance_text(vocab, lexicon, a_text, embeddings, stop_tokens),
+        _stance_text(vocab, lexicon, b_text, embeddings, stop_tokens),
+    )
+
+
+def _path_concat(path_texts: Sequence[str]) -> tuple[str, str]:
+    """(all path claims but the last, space-joined; the last claim)."""
+    if len(path_texts) < 2:
+        raise ValueError("path must contain at least two claims")
+    return " ".join(path_texts[:-1]), path_texts[-1]
 
 
 def path_concat_features(
@@ -325,11 +381,9 @@ def path_concat_features(
     The concatenation plays the first role, so a distance-one path gives
     exactly stance_pair_features(ancestor, descendant).
     """
-    if len(path_texts) < 2:
-        raise ValueError("path must contain at least two claims")
-    concat = " ".join(path_texts[:-1])
+    concat, last = _path_concat(path_texts)
     return stance_pair_features(
-        vocab, lexicon, concat, path_texts[-1], embeddings=embeddings, stop_tokens=stop_tokens
+        vocab, lexicon, concat, last, embeddings=embeddings, stop_tokens=stop_tokens
     )
 
 
@@ -367,7 +421,10 @@ def featurize_specificity(
     lexicon: Lexicon,
     feature_set: str = "both",
 ) -> tuple[FeatureSchema, list[FeatureRecord]]:
-    """Specificity features from pair texts only; the path is never used."""
+    """Specificity features from pair texts only; the path is never used.
+
+    Each distinct text is tokenized, counted and measured once.
+    """
     if feature_set not in ("bow", "surface", "both"):
         raise ValueError(f"unknown feature set {feature_set!r}")
     use_bow = feature_set in ("bow", "both")
@@ -380,21 +437,24 @@ def featurize_specificity(
         sparse_names=vocab.tokens() if use_bow else [],
         dense_names=list(SPECIFICITY_DENSE_NAMES) if use_surface else [],
     )
+
+    def text_values(text: str) -> tuple[dict[int, float], tuple[float, ...]]:
+        tokens = tokenize(text)
+        return (
+            _bow_counts(vocab, tokens) if use_bow else {},
+            _surface_triple(lexicon, tokens) if use_surface else (),
+        )
+
+    per_text = functools.cache(text_values)
     records = []
     for example in examples:
-        sparse: dict[int, float] = {}
-        dense: dict[str, float] = {}
-        if use_bow:
-            sparse = bow_pair_features(vocab, example.first_text, example.second_text).sparse
-        if use_surface:
-            dense = specificity_surface_features(
-                lexicon, example.first_text, example.second_text
-            ).dense
+        counts_a, triple_a = per_text(example.first_text)
+        counts_b, triple_b = per_text(example.second_text)
         records.append(
             FeatureRecord(
                 label=example.label.value,
-                sparse=sparse,
-                dense=dense,
+                sparse=_bow_diff(counts_a, counts_b) if use_bow else {},
+                dense=_surface_dense(triple_a, triple_b) if use_surface else {},
                 topic_id=example.topic_id,
                 distance=example.distance,
                 same_stance=example.same_stance,
@@ -410,7 +470,11 @@ def featurize_stance(
     embeddings: Optional[EmbeddingTable] = None,
     use_path: bool = False,
 ) -> tuple[FeatureSchema, list[FeatureRecord]]:
-    """Stance features over (ancestor, descendant) or the concatenated path."""
+    """Stance features over (ancestor, descendant) or the concatenated path.
+
+    The per-text values are computed once per distinct string that is
+    tokenized: a claim, or with use_path a joined ancestor chain.
+    """
     dense_names = list(STANCE_DENSE_NAMES)
     if embeddings is not None:
         dense_names.append(STANCE_EMBED_NAME)
@@ -421,21 +485,14 @@ def featurize_stance(
         dense_names=dense_names,
     )
     stop = vocab.stop_tokens()
+    per_text = functools.cache(lambda text: _stance_text(vocab, lexicon, text, embeddings, stop))
     records = []
     for example in examples:
         if use_path:
-            vector = path_concat_features(
-                vocab, lexicon, example.path_texts, embeddings=embeddings, stop_tokens=stop
-            )
+            first, second = _path_concat(example.path_texts)
         else:
-            vector = stance_pair_features(
-                vocab,
-                lexicon,
-                example.path_texts[0],
-                example.path_texts[-1],
-                embeddings=embeddings,
-                stop_tokens=stop,
-            )
+            first, second = example.path_texts[0], example.path_texts[-1]
+        vector = _stance_features(per_text(first), per_text(second))
         records.append(
             FeatureRecord(
                 label=example.label.value,
@@ -475,34 +532,47 @@ def write_features_file(schema: FeatureSchema, records: Iterable[FeatureRecord],
         write_features(schema, records, handle)
 
 
+def _feature_record(row: object) -> FeatureRecord:
+    if not isinstance(row, dict):
+        raise ValueError("expected a JSON object")
+    sparse, dense = row["sparse"], row["dense"]
+    if not isinstance(sparse, dict) or not isinstance(dense, dict):
+        raise ValueError("sparse and dense must be JSON objects")
+    same_stance = row["same_stance"]
+    return FeatureRecord(
+        label=row["label"],
+        sparse={int(i): float(v) for i, v in sparse.items()},
+        dense={k: float(v) for k, v in dense.items()},
+        topic_id=row["topic_id"],
+        distance=int(row["distance"]),
+        same_stance=None if same_stance == "n/a" else bool(same_stance),
+    )
+
+
 def read_features_file(path: str) -> tuple[FeatureSchema, list[FeatureRecord]]:
+    """Every format error is one ValueError naming the file and line."""
     with open(path, encoding="utf-8") as handle:
         header_line = handle.readline()
         if not header_line.strip():
             raise ValueError(f"empty features file {path!r}")
-        header = json.loads(header_line)
-        if header.get("schema") != FEATURES_SCHEMA:
-            raise ValueError(f"schema mismatch in features file {path!r}")
-        schema = FeatureSchema(
-            task=header["task"],
-            feature_set=header["feature_set"],
-            sparse_names=list(header["sparse_names"]),
-            dense_names=list(header["dense_names"]),
-        )
+        try:
+            header = json.loads(header_line)
+            if not isinstance(header, dict) or header.get("schema") != FEATURES_SCHEMA:
+                raise ValueError(f"schema mismatch: expected {FEATURES_SCHEMA!r}")
+            schema = FeatureSchema(
+                task=header["task"],
+                feature_set=header["feature_set"],
+                sparse_names=list(header["sparse_names"]),
+                dense_names=list(header["dense_names"]),
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise located_error(path, 1, exc) from None
         records = []
-        for line in handle:
+        for line_no, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
-            row = json.loads(line)
-            same_stance = row["same_stance"]
-            records.append(
-                FeatureRecord(
-                    label=row["label"],
-                    sparse={int(i): float(v) for i, v in row["sparse"].items()},
-                    dense={k: float(v) for k, v in row["dense"].items()},
-                    topic_id=row["topic_id"],
-                    distance=int(row["distance"]),
-                    same_stance=None if same_stance == "n/a" else bool(same_stance),
-                )
-            )
+            try:
+                records.append(_feature_record(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise located_error(path, line_no, exc) from None
     return schema, records

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..pairs import SpecificityLabel
+from ..pairs import SpecificityExample, SpecificityLabel
 from ..text import tokenize
 
 
@@ -39,8 +40,19 @@ class LengthBaseline:
 
     task: str = "specificity"
 
-    def predict(self, first_text: str, second_text: str) -> SpecificityLabel:
-        return length_predict(first_text, second_text)
+    def predict_labels(self, examples: Sequence[SpecificityExample]) -> list[str]:
+        """Label values for many pairs; each distinct text is tokenized once."""
+        length = functools.cache(lambda text: len(tokenize(text)))
+        return [
+            _length_label(length(e.first_text), length(e.second_text)).value
+            for e in examples
+        ]
+
+
+def _length_label(first_length: int, second_length: int) -> SpecificityLabel:
+    if second_length >= first_length:
+        return SpecificityLabel.SECOND_MORE_SPECIFIC
+    return SpecificityLabel.FIRST_MORE_SPECIFIC
 
 
 def length_predict(first_text: str, second_text: str) -> SpecificityLabel:
@@ -48,6 +60,4 @@ def length_predict(first_text: str, second_text: str) -> SpecificityLabel:
 
     Ties predict the second claim, so the comparator is deterministic.
     """
-    if len(tokenize(second_text)) >= len(tokenize(first_text)):
-        return SpecificityLabel.SECOND_MORE_SPECIFIC
-    return SpecificityLabel.FIRST_MORE_SPECIFIC
+    return _length_label(len(tokenize(first_text)), len(tokenize(second_text)))

@@ -10,12 +10,14 @@ the backward pass scatters into the embeddings through its transpose.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
+from ..features import build_vocabulary
 from ..text import tokenize
 
 PAD_ID = 0
@@ -27,7 +29,10 @@ FIRST_REGULAR_ID = len(SPECIAL_TOKENS)
 
 @dataclass
 class EncoderVocab:
-    """Regular tokens get ids from 3 upward; unknown tokens collapse to PAD."""
+    """Regular tokens get ids from 3 upward; unknown tokens collapse to PAD.
+
+    The ids of each distinct text are computed once per vocabulary object.
+    """
 
     tokens: list[str]
 
@@ -35,6 +40,7 @@ class EncoderVocab:
         self._token_to_id = {
             token: FIRST_REGULAR_ID + i for i, token in enumerate(self.tokens)
         }
+        self._text_ids = functools.cache(lambda text: self.encode_tokens(tokenize(text)))
 
     @property
     def size(self) -> int:
@@ -46,24 +52,20 @@ class EncoderVocab:
     def encode_tokens(self, tokens: Sequence[str]) -> list[int]:
         return [self.token_id(t) for t in tokens]
 
+    def text_ids(self, text: str, truncate: int) -> list[int]:
+        """Ids of the text's first `truncate` tokens."""
+        return self._text_ids(text)[:truncate]
+
 
 def build_encoder_vocab(texts: Iterable[str], min_count: int = 2) -> EncoderVocab:
-    counts: dict[str, int] = {}
-    for text in texts:
-        for token in tokenize(text):
-            counts[token] = counts.get(token, 0) + 1
-    kept = sorted(
-        (token for token, count in counts.items() if count >= min_count),
-        key=lambda t: (-counts[t], t),
-    )
-    return EncoderVocab(tokens=kept)
+    return EncoderVocab(tokens=build_vocabulary(texts, min_count).tokens())
 
 
 def pack_pair(
     vocab: EncoderVocab, a_text: str, b_text: str, truncate: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    a_ids = vocab.encode_tokens(tokenize(a_text)[:truncate])
-    b_ids = vocab.encode_tokens(tokenize(b_text)[:truncate])
+    a_ids = vocab.text_ids(a_text, truncate)
+    b_ids = vocab.text_ids(b_text, truncate)
     ids = [CLS_ID] + a_ids + [SEP_ID] + b_ids + [SEP_ID]
     segments = [0] * (len(a_ids) + 2) + [1] * (len(b_ids) + 1)
     return np.array(ids, dtype=np.int64), np.array(segments, dtype=np.int64)
@@ -79,7 +81,7 @@ def pack_path_flat(
     """
     if len(path_texts) < 2:
         raise ValueError("path must contain at least two claims")
-    claims = [vocab.encode_tokens(tokenize(t)[:truncate]) for t in reversed(path_texts)]
+    claims = [vocab.text_ids(t, truncate) for t in reversed(path_texts)]
     ids = [CLS_ID]
     for claim_ids in claims:
         ids.extend(claim_ids)

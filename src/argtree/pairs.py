@@ -280,38 +280,60 @@ def write_pairs_file(examples: Iterable[SpecificityExample | StanceExample], pat
         write_pairs(examples, handle)
 
 
-def read_pairs(stream: IO[str] | Iterable[str]) -> Iterator[SpecificityExample | StanceExample]:
+def located_error(source: str, line_no: int, exc: Exception) -> ValueError:
+    """The one error a reader raises for a bad record: "<source>:<line>: <reason>"."""
+    if isinstance(exc, json.JSONDecodeError):
+        reason = f"invalid JSON ({exc.msg})"
+    elif isinstance(exc, KeyError):
+        reason = f"missing field {exc.args[0]!r}"
+    else:
+        reason = str(exc)
+    return ValueError(f"{source}:{line_no}: {reason}")
+
+
+def _example_from_record(record: object) -> SpecificityExample | StanceExample:
+    if not isinstance(record, dict):
+        raise ValueError("expected a JSON object")
+    task = record.get("task")
+    if task == "specificity":
+        return SpecificityExample(
+            topic_id=record["topic_id"],
+            first_id=record["first_id"],
+            second_id=record["second_id"],
+            first_text=record["first_text"],
+            second_text=record["second_text"],
+            distance=int(record["distance"]),
+            label=SpecificityLabel(record["label"]),
+            same_stance=_same_stance_from_json(record["same_stance"]),
+        )
+    if task == "stance":
+        return StanceExample(
+            topic_id=record["topic_id"],
+            a_id=record["a_id"],
+            b_id=record["b_id"],
+            distance=int(record["distance"]),
+            path_texts=list(record["path_texts"]),
+            path_edges=[StanceEdge(e) for e in record["path_edges"]],
+            label=StanceLabel(record["label"]),
+            same_stance=_same_stance_from_json(record["same_stance"]),
+        )
+    raise ValueError(f"unknown task {task!r}")
+
+
+def read_pairs(
+    stream: IO[str] | Iterable[str], source: str = "<pairs>"
+) -> Iterator[SpecificityExample | StanceExample]:
+    """Examples from pairs lines; a bad line raises located_error(source, line)."""
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
             continue
-        record = json.loads(line)
-        task = record.get("task")
-        if task == "specificity":
-            yield SpecificityExample(
-                topic_id=record["topic_id"],
-                first_id=record["first_id"],
-                second_id=record["second_id"],
-                first_text=record["first_text"],
-                second_text=record["second_text"],
-                distance=int(record["distance"]),
-                label=SpecificityLabel(record["label"]),
-                same_stance=_same_stance_from_json(record["same_stance"]),
-            )
-        elif task == "stance":
-            yield StanceExample(
-                topic_id=record["topic_id"],
-                a_id=record["a_id"],
-                b_id=record["b_id"],
-                distance=int(record["distance"]),
-                path_texts=list(record["path_texts"]),
-                path_edges=[StanceEdge(e) for e in record["path_edges"]],
-                label=StanceLabel(record["label"]),
-                same_stance=_same_stance_from_json(record["same_stance"]),
-            )
-        else:
-            raise ValueError(f"line {line_no}: unknown task {task!r}")
+        try:
+            example = _example_from_record(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise located_error(source, line_no, exc) from None
+        yield example
 
 
 def read_pairs_file(path: str) -> list[SpecificityExample | StanceExample]:
     with open(path, encoding="utf-8") as handle:
-        return list(read_pairs(handle))
+        return list(read_pairs(handle, source=path))

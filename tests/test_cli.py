@@ -416,6 +416,74 @@ def test_task_mismatch_exits_one(pipeline, tmp_path):
     assert code == 1
 
 
+def _one_located_error(capsys, code, path, line_no) -> str:
+    """Exit 1 and a single `error:` line that starts with `<path>:<line>:`."""
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, err
+    assert errors[0].startswith(f"error: {path}:{line_no}: "), errors[0]
+    return errors[0]
+
+
+def _write_edited_lines(source, path, line_no, edit) -> None:
+    lines = source.read_text(encoding="utf-8").splitlines()[:4]
+    lines[line_no - 1] = edit(lines[line_no - 1])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _drop_field(name):
+    return lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != name})
+
+
+def _set_field(name, value):
+    return lambda line: json.dumps(dict(json.loads(line), **{name: value}))
+
+
+@pytest.mark.parametrize(
+    "task, line_no, edit, reason",
+    [
+        ("specificity", 2, _drop_field("first_id"), "missing field 'first_id'"),
+        ("specificity", 3, lambda line: "not json", "invalid JSON"),
+        ("specificity", 2, _set_field("label", "sideways"), "'sideways'"),
+        ("stance", 2, _set_field("path_edges", ["sideways"]), "'sideways'"),
+    ],
+    ids=["missing-field", "not-json", "unknown-label", "unknown-edge"],
+)
+def test_bad_pairs_line_is_one_located_error(pipeline, tmp_path, capsys, task, line_no, edit, reason):
+    path = tmp_path / "bad-pairs.jsonl"
+    source = pipeline["specificity_pairs" if task == "specificity" else "stance_pairs"]
+    _write_edited_lines(source, path, line_no, edit)
+    capsys.readouterr()
+    code = main([
+        "featurize", str(path), "--task", task,
+        "--vocab", str(tmp_path / "vocab.json"), "-o", str(tmp_path / "features.jsonl"),
+    ])
+    assert reason in _one_located_error(capsys, code, path, line_no)
+
+
+@pytest.mark.parametrize(
+    "line_no, edit, reason",
+    [
+        (1, lambda line: "{", "invalid JSON"),
+        (3, lambda line: "not json", "invalid JSON"),
+        (2, _drop_field("label"), "missing field 'label'"),
+        (2, _set_field("sparse", {"0": "many"}), "'many'"),
+    ],
+    ids=["header-not-json", "not-json", "missing-field", "bad-value"],
+)
+def test_bad_features_line_is_one_located_error(pipeline, tmp_path, capsys, line_no, edit, reason):
+    path = tmp_path / "bad-features.jsonl"
+    _write_edited_lines(pipeline["specificity_features"], path, line_no, edit)
+    capsys.readouterr()
+    code = main([
+        "train", "--model", "logreg", "--task", "specificity",
+        "--train", str(path), "-o", str(tmp_path / "m.ckpt"),
+    ])
+    assert reason in _one_located_error(capsys, code, path, line_no)
+
+
 def test_unknown_stratum_is_usage_error(pipeline, tmp_path):
     code = main([
         "evaluate", "--model", str(pipeline["majority_ckpt"]),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -230,6 +231,53 @@ def test_featurize_stance_endpoint_vs_path(uniform_corpus, tmp_path):
     schema_back, records_back = read_features_file(path)
     assert schema_back == schema_path
     assert records_back == records_path
+
+
+def test_featurize_matches_the_per_pair_functions(uniform_corpus):
+    """The per-text caches of featurize give what the per-pair functions give."""
+    embeddings = EmbeddingTable(
+        vectors={"uniforms": np.array([0.3, -0.1]), "students": np.array([0.7, 0.2])}, dim=2
+    )
+    spec = list(derive_specificity_examples(uniform_corpus, seed=1))
+    vocab = build_vocabulary((t for e in spec for t in (e.first_text, e.second_text)), min_count=1)
+    _, records = featurize_specificity(spec, vocab, LEXICON, feature_set="both")
+    for example, record in zip(spec, records):
+        assert record.sparse == bow_pair_features(vocab, example.first_text, example.second_text).sparse
+        assert record.dense == specificity_surface_features(
+            LEXICON, example.first_text, example.second_text
+        ).dense
+    stance = list(derive_stance_examples(uniform_corpus))
+    stop = vocab.stop_tokens()
+    for use_path in (False, True):
+        _, records = featurize_stance(stance, vocab, LEXICON, embeddings, use_path=use_path)
+        for example, record in zip(stance, records):
+            if use_path:
+                expected = path_concat_features(
+                    vocab, LEXICON, example.path_texts, embeddings, stop_tokens=stop
+                )
+            else:
+                expected = stance_pair_features(
+                    vocab, LEXICON, example.path_texts[0], example.path_texts[-1],
+                    embeddings, stop_tokens=stop,
+                )
+            assert (record.sparse, record.dense) == (expected.sparse, expected.dense)
+
+
+@pytest.mark.parametrize(
+    "header, reason",
+    [
+        ('{"schema": "argtree-features/1"', "invalid JSON"),
+        ('{"schema": "argtree-features/1", "feature_set": "bow"}', "missing field 'task'"),
+        ('{"schema": "argtree-features/0"}', "schema mismatch"),
+    ],
+)
+def test_bad_features_header_is_a_located_error(tmp_path, header, reason):
+    path = tmp_path / "features.jsonl"
+    path.write_text(header + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        read_features_file(str(path))
+    assert str(excinfo.value).startswith(f"{path}:1: ")
+    assert reason in str(excinfo.value)
 
 
 def test_feature_records_keep_strata_fields(uniform_corpus):

@@ -1,0 +1,172 @@
+"""Pinned bytes of the derived files: pairs, vocabularies and features.
+
+A tiny synthetic corpus is derived into both tasks and featurized with
+every feature set. The lexicon and the embedding table are written here
+with polarities and components that are not exact binary fractions, so a
+change in the order of any float sum (polarity, embedding mean) changes
+the features' bytes. The digests were recorded before per-text caching
+entered vocabulary building and featurization.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+
+import numpy as np
+import pytest
+
+from argtree.cli import main
+from argtree.models.config import EncoderConfig
+from argtree.models.encoder import (
+    CLS_ID,
+    SEP_ID,
+    EncoderVocab,
+    pack_pair,
+    pack_path_flat,
+    pack_path_pairs,
+)
+from argtree.models.neural import pack_dataset
+from argtree.pairs import read_pairs_file
+from argtree.text import tokenize
+
+SYNTH_CONFIG = """\
+topic_count = 6
+branch_min = 2
+branch_max = 2
+depth_min = 3
+depth_max = 3
+stance_marker_p = 0.8
+root_len_min = 9
+root_len_max = 11
+min_claim_tokens = 6
+filler_count = 24
+seed = 13
+"""
+
+FILLERS = [f"filler{i}" for i in range(24)]
+CONNECTIVES = ["also", "but", "only", "because"]
+
+GOLDEN_SHA256 = {
+    "specificity-pairs.jsonl": "5b25d9ee2038422fd7c7e88044ffa41c33be9e3186c544382dca80efcec1e142",
+    "stance-pairs.jsonl": "a2a136b08e9f2333dfec002ecb0c592aa47a100b160a838a2b9a7ecaa2811b7b",
+    "specificity-vocab.json": "ed20421539fec42f95b9ef6cd92e7d2cb4a56b8f25d82cace69276d2c2960b2d",
+    "stance-vocab.json": "9fb9242b115c0b5c43cbdf7e0a3de3c3132f037aceb8f2f11c3197bac28a9836",
+    "specificity-bow.jsonl": "cc823e2dcd160ec3b5073565e220762c3186addda568c968a22570d5c1485d86",
+    "specificity-surface.jsonl": "0bce7432a42e09b5fdface1f1d42440a4b5e9d30115e63815c14e4bd6fc7a64f",
+    "specificity-both.jsonl": "095c3554a9866eebb166749767ead63f1cfc1059b99773ef9ce5cfe563d2f775",
+    "stance-endpoint.jsonl": "d9be205e6a7a59734d8fc2cb001f9cc6920e3dd38d6af5c55ee9ace9da0ff098",
+    "stance-path.jsonl": "6537a069b3846f31e4deb6646d3adbf13fc014b3ef43095af79512db95ed41a2",
+}
+
+
+def _lexicon_text() -> str:
+    rows = []
+    for i, token in enumerate(FILLERS + CONNECTIVES):
+        polarity = ((i * 7) % 13 - 6) / 9
+        rows.append(f"{token}\t{polarity!r}\t{'strong' if i % 3 else 'weak'}\n")
+    return "".join(rows)
+
+
+def _embeddings_text() -> str:
+    rows = []
+    for i, token in enumerate(FILLERS + CONNECTIVES):
+        vector = [(i % 5 + 1) / 7, -(i % 3 + 1) / 11, ((i * 3) % 7 - 3) / 13]
+        rows.append(" ".join([token] + [repr(v) for v in vector]) + "\n")
+    return "".join(rows)
+
+
+@pytest.fixture(scope="module")
+def derived(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    (root / "synth.conf").write_text(SYNTH_CONFIG, encoding="utf-8")
+    (root / "lexicon.tsv").write_text(_lexicon_text(), encoding="utf-8")
+    (root / "embeddings.txt").write_text(_embeddings_text(), encoding="utf-8")
+
+    def run(*argv):
+        code = main(list(argv))
+        assert code == 0, f"argtree {argv[0]} exited {code}"
+
+    # Relative paths: a vocabulary file records the pairs path it was built from.
+    with contextlib.chdir(root):
+        run("synth", "--config", "synth.conf", "-o", "corpus.jsonl")
+        run(
+            "derive-pairs", "corpus.jsonl", "--task", "specificity", "--seed", "3",
+            "-o", "specificity-pairs.jsonl",
+        )
+        run("derive-pairs", "corpus.jsonl", "--task", "stance", "-o", "stance-pairs.jsonl")
+        for feature_set in ("bow", "surface", "both"):
+            run(
+                "featurize", "specificity-pairs.jsonl", "--task", "specificity",
+                "--feature-set", feature_set, "--lexicon", "lexicon.tsv",
+                "--vocab", "specificity-vocab.json", "-o", f"specificity-{feature_set}.jsonl",
+            )
+        for name, extra in (("endpoint", []), ("path", ["--use-path"])):
+            run(
+                "featurize", "stance-pairs.jsonl", "--task", "stance", *extra,
+                "--lexicon", "lexicon.tsv", "--embeddings", "embeddings.txt",
+                "--vocab", "stance-vocab.json", "-o", f"stance-{name}.jsonl",
+            )
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_derived_file_bytes_are_pinned(derived, name):
+    digest = hashlib.sha256((derived / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN_SHA256[name]
+
+
+def _reference_ids(vocab: EncoderVocab, text: str, truncate: int) -> list[int]:
+    return vocab.encode_tokens(tokenize(text)[:truncate])
+
+
+def _reference_pair(vocab, a_text, b_text, truncate):
+    a_ids = _reference_ids(vocab, a_text, truncate)
+    b_ids = _reference_ids(vocab, b_text, truncate)
+    ids = [CLS_ID] + a_ids + [SEP_ID] + b_ids + [SEP_ID]
+    segments = [0] * (len(a_ids) + 2) + [1] * (len(b_ids) + 1)
+    return ids, segments
+
+
+def _reference_sequences(kind, vocab, path_texts, truncate):
+    if kind == "pair":
+        return [_reference_pair(vocab, path_texts[-1], path_texts[0], truncate)]
+    if kind == "path-flat":
+        ids = [CLS_ID]
+        for text in reversed(path_texts):
+            ids += _reference_ids(vocab, text, truncate) + [SEP_ID]
+        first = len(_reference_ids(vocab, path_texts[-1], truncate)) + 2
+        return [(ids, [0] * first + [1] * (len(ids) - first))]
+    return [
+        _reference_pair(vocab, path_texts[i], path_texts[i + 1], truncate)
+        for i in range(len(path_texts) - 1)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["pair", "path-flat", "path-hier"])
+def test_pack_dataset_matches_the_per_example_packers(derived, kind):
+    examples = read_pairs_file(str(derived / "stance-pairs.jsonl"))
+    truncate = 4
+    assert min(len(tokenize(t)) for ex in examples for t in ex.path_texts) > truncate
+    # Every other token stays unknown, so PAD ids appear as well.
+    tokens = sorted({t for ex in examples for text in ex.path_texts for t in tokenize(text)})
+    vocab = EncoderVocab(tokens=tokens[::2])
+    config = EncoderConfig(truncate=truncate)
+    packed = pack_dataset(kind, examples, vocab, config, ["opposes", "supports"])
+    assert len(packed) == len(examples)
+    for example, item in zip(examples, packed):
+        texts = example.path_texts
+        if kind == "pair":
+            direct = [pack_pair(vocab, texts[-1], texts[0], truncate)]
+        elif kind == "path-flat":
+            direct = [pack_path_flat(vocab, texts, truncate)]
+        else:
+            direct = pack_path_pairs(vocab, texts, truncate)
+        reference = _reference_sequences(kind, vocab, texts, truncate)
+        assert len(item.sequences) == len(direct) == len(reference)
+        for (ids, segments), (d_ids, d_segments), (r_ids, r_segments) in zip(
+            item.sequences, direct, reference
+        ):
+            assert ids.dtype == segments.dtype == np.int64
+            assert ids.tolist() == d_ids.tolist() == r_ids
+            assert segments.tolist() == d_segments.tolist() == r_segments

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from argtree.features import build_vocabulary
 
 from argtree.models.encoder import (
     CLS_ID,
@@ -20,6 +24,7 @@ from argtree.models.encoder import (
 )
 from argtree.models.neural import init_params
 from argtree.models.config import EncoderConfig
+from argtree.text import tokenize
 
 
 VOCAB = EncoderVocab(tokens=["alpha", "beta", "gamma"])
@@ -38,6 +43,37 @@ def test_unknown_tokens_collapse_to_pad():
 def test_build_encoder_vocab_min_count():
     vocab = build_encoder_vocab(["twice twice once"], min_count=2)
     assert vocab.tokens == ["twice"]
+
+
+def _per_occurrence_tokens(texts, min_count):
+    """Tokenize every occurrence: the counting loop of the old encoder builder."""
+    counts = {}
+    for text in texts:
+        for token in tokenize(text):
+            counts[token] = counts.get(token, 0) + 1
+    kept = (token for token, count in counts.items() if count >= min_count)
+    return sorted(kept, key=lambda t: (-counts[t], t))
+
+
+REPEATED_TEXTS = ["a b", "b b c", "c, a!", "A a", "d", ""]
+
+
+@given(
+    texts=st.lists(st.one_of(st.sampled_from(REPEATED_TEXTS), st.text(max_size=12)), max_size=12),
+    min_count=st.sampled_from([1, 2]),
+)
+def test_vocabulary_builders_agree_on_token_order(texts, min_count):
+    expected = _per_occurrence_tokens(texts, min_count)
+    assert build_vocabulary(iter(texts), min_count).tokens() == expected
+    assert build_encoder_vocab(iter(texts), min_count).tokens == expected
+
+
+def test_text_ids_truncate_without_touching_the_memo():
+    vocab = EncoderVocab(tokens=["alpha", "beta"])
+    a, b = vocab.token_id("alpha"), vocab.token_id("beta")
+    assert vocab.text_ids("alpha beta gamma", 2) == [a, b]
+    assert vocab.text_ids("alpha beta gamma", 8) == [a, b, PAD_ID]
+    assert vocab.text_ids("alpha beta gamma", 1) == [a]
 
 
 def test_pack_pair_layout():
