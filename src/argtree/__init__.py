@@ -40,6 +40,7 @@ from .features import (
     EmbeddingTable,
     FeatureRecord,
     FeatureSchema,
+    FeatureTable,
     FeatureVector,
     Lexicon,
     Vocabulary,

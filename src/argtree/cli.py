@@ -34,6 +34,7 @@ from .evaluation import (
     wide_table_text,
 )
 from .features import (
+    FeatureTable,
     Lexicon,
     build_vocabulary,
     featurize_specificity,
@@ -414,23 +415,20 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     embeddings = read_embeddings_file(args.embeddings) if args.embeddings else None
 
     if task == "specificity":
-        schema, records = featurize_specificity(
-            examples, vocab, lexicon, feature_set=args.feature_set
-        )
+        table = featurize_specificity(examples, vocab, lexicon, feature_set=args.feature_set)
     else:
-        schema, records = featurize_stance(
+        table = featurize_stance(
             examples, vocab, lexicon, embeddings=embeddings, use_path=args.use_path
         )
-    _atomic_write(args.out, lambda handle: write_features(schema, records, handle))
-    _log(f"featurize: {len(records)} record(s), width {schema.width} -> {args.out}")
+    _atomic_write(args.out, lambda handle: write_features(table, handle))
+    _log(f"featurize: {len(table)} record(s), width {table.schema.width} -> {args.out}")
     return 0
 
 
 def _load_training_labels(path: str) -> list[str]:
     kind = _detect_dataset_kind(path)
     if kind == "features":
-        _, records = read_features_file(path)
-        return [record.label for record in records]
+        return read_features_file(path).labels
     return [example.label.value for example in read_pairs_file(path)]
 
 
@@ -451,19 +449,20 @@ def cmd_train(args: argparse.Namespace) -> int:
     elif model_kind == "logreg":
         if _detect_dataset_kind(args.train) != "features":
             raise ValueError("logreg trains on a features file; run `argtree featurize` first")
-        schema, train_records = read_features_file(args.train)
+        train = read_features_file(args.train)
+        schema = train.schema
         if schema.task != args.task:
             raise ValueError(f"{args.train} holds {schema.task} features, --task is {args.task}")
-        dev_records = None
+        dev = None
         if args.dev:
-            dev_schema, dev_records = read_features_file(args.dev)
-            if (dev_schema.sparse_names, dev_schema.dense_names) != (
+            dev = read_features_file(args.dev)
+            if (dev.schema.sparse_names, dev.schema.dense_names) != (
                 schema.sparse_names,
                 schema.dense_names,
             ):
                 raise ValueError("train and dev feature spaces differ")
         train_config = _train_config_from(config, seed, neural=False)
-        model = train_logreg(schema, train_records, dev_records, train_config)
+        model = train_logreg(train, dev, train_config)
     else:
         if _detect_dataset_kind(args.train) != "pairs":
             raise ValueError(f"{model_kind} trains on a derived-pairs file")
@@ -503,92 +502,57 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _predict_items(model: object, test_path: str) -> tuple[str, str, list[EvalItem]]:
-    """Run a loaded model over a test file; returns (task, kind, items)."""
-    dataset_kind = _detect_dataset_kind(test_path)
+_TestData = Union[FeatureTable, tuple[str, list]]
 
-    if isinstance(model, LogisticRegressionModel):
-        if dataset_kind != "features":
+
+def _read_test_data(path: str) -> _TestData:
+    """A features file as its table, a derived-pairs file as (task, examples)."""
+    if _detect_dataset_kind(path) == "features":
+        return read_features_file(path)
+    return _read_pairs_with_task(path)
+
+
+def _predict_items(
+    model: object, data: _TestData, test_path: str
+) -> tuple[str, str, list[EvalItem]]:
+    """Run a loaded model over parsed test data; returns (task, kind, items)."""
+    features = isinstance(data, FeatureTable)
+    if features:
+        rows = list(zip(data.topic_ids, data.distances, data.same_stance, data.labels))
+    else:
+        task, examples = data
+        rows = [(e.topic_id, e.distance, e.same_stance, e.label.value) for e in examples]
+
+    if isinstance(model, MajorityBaseline):
+        task, kind, predicted = model.task, "majority", [model.predict_label()] * len(rows)
+    elif isinstance(model, LogisticRegressionModel):
+        if not features:
             raise ValueError("logreg evaluation needs a features file")
-        schema, records = read_features_file(test_path)
-        if (schema.sparse_names, schema.dense_names) != (
+        if (data.schema.sparse_names, data.schema.dense_names) != (
             model.sparse_names,
             model.dense_names,
         ):
             raise ValueError("feature file does not match the model's feature space")
-        predicted = model.predict_labels(records)
-        items = [
-            EvalItem(
-                topic_id=record.topic_id,
-                distance=record.distance,
-                same_stance=record.same_stance,
-                gold=record.label,
-                predicted=pred,
-            )
-            for record, pred in zip(records, predicted)
-        ]
-        return model.task, "logreg", items
-
-    if isinstance(model, MajorityBaseline):
-        if dataset_kind == "features":
-            _, records = read_features_file(test_path)
-            triples = [(r.topic_id, r.distance, r.same_stance, r.label) for r in records]
-        else:
-            _, examples = _read_pairs_with_task(test_path)
-            triples = [
-                (e.topic_id, e.distance, e.same_stance, e.label.value) for e in examples
-            ]
-        items = [
-            EvalItem(
-                topic_id=topic,
-                distance=distance,
-                same_stance=same_stance,
-                gold=gold,
-                predicted=model.predict_label(),
-            )
-            for topic, distance, same_stance, gold in triples
-        ]
-        return model.task, "majority", items
-
-    if isinstance(model, LengthBaseline):
-        if dataset_kind != "pairs":
+        task, kind, predicted = model.task, "logreg", model.predict_labels(data)
+    elif isinstance(model, LengthBaseline):
+        if features:
             raise ValueError("the length baseline needs a derived-pairs file (it reads texts)")
-        task, examples = _read_pairs_with_task(test_path)
         if task != "specificity":
             raise ValueError("the length baseline scores specificity pairs only")
-        predicted = model.predict_labels(examples)
-        items = [
-            EvalItem(
-                topic_id=e.topic_id,
-                distance=e.distance,
-                same_stance=e.same_stance,
-                gold=e.label.value,
-                predicted=pred,
-            )
-            for e, pred in zip(examples, predicted)
-        ]
-        return task, "length", items
-
-    if isinstance(model, NeuralModel):
-        if dataset_kind != "pairs":
+        kind, predicted = "length", model.predict_labels(examples)
+    elif isinstance(model, NeuralModel):
+        if features:
             raise ValueError("neural evaluation needs a derived-pairs file (it reads texts)")
-        task, examples = _read_pairs_with_task(test_path)
         if task != model.task:
             raise ValueError(f"{test_path} holds {task} examples, model is for {model.task}")
-        predicted = model.predict_labels(examples)
-        items = [
-            EvalItem(
-                topic_id=e.topic_id,
-                distance=e.distance,
-                same_stance=e.same_stance,
-                gold=e.label.value,
-                predicted=pred,
-            )
-            for e, pred in zip(examples, predicted)
-        ]
-        return task, model.kind, items
-
-    raise ValueError(f"cannot evaluate model of type {type(model).__name__}")
+        kind, predicted = model.kind, model.predict_labels(examples)
+    else:
+        raise ValueError(f"cannot evaluate model of type {type(model).__name__}")
+    items = [
+        EvalItem(topic_id=topic, distance=distance, same_stance=same, gold=gold, predicted=pred)
+        for (topic, distance, same, gold), pred in zip(rows, predicted)
+    ]
+    return task, kind, items
 
 
 _STRATA_CSV_FIELDS = ["task", "model", "split", "stratum", "count", "correct", "accuracy"]
@@ -625,7 +589,7 @@ def _parse_strata_flag(raw: Optional[str]) -> Optional[list[str]]:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     requested = _parse_strata_flag(args.strata)
     model = load_model(args.model)
-    task, kind, items = _predict_items(model, args.test)
+    task, kind, items = _predict_items(model, _read_test_data(args.test), args.test)
     name = args.name or kind
     report = stratified_eval(items, task=task, model=name, split=args.split_name)
     filtered = _filter_strata(report, requested)
@@ -689,8 +653,10 @@ def cmd_significance(args: argparse.Namespace) -> int:
         raise UsageError("--alpha must lie strictly between 0 and 1")
     model_a = load_model(args.model_a)
     model_b = load_model(args.model_b)
-    task_a, kind_a, items_a = _predict_items(model_a, args.test)
-    task_b, kind_b, items_b = _predict_items(model_b, args.test)
+    # Both models score one parse of the test file.
+    data = _read_test_data(args.test)
+    task_a, kind_a, items_a = _predict_items(model_a, data, args.test)
+    task_b, kind_b, items_b = _predict_items(model_b, data, args.test)
     if task_a != task_b:
         raise ValueError(f"models solve different tasks: {task_a} vs {task_b}")
     report_a = stratified_eval(items_a, task=task_a, model=kind_a)

@@ -9,14 +9,15 @@ trainer using training-split statistics.
 
 from __future__ import annotations
 
-import functools
 import hashlib
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .pairs import SpecificityExample, StanceExample, located_error
 from .text import tokenize
@@ -90,15 +91,27 @@ def write_vocabulary_file(vocab: Vocabulary, path: str) -> None:
 
 
 def read_vocabulary_file(path: str) -> Vocabulary:
+    """Every format error is one ValueError naming the file."""
     with open(path, encoding="utf-8") as handle:
-        record = json.load(handle)
-    if record.get("schema") != VOCAB_SCHEMA:
-        raise ValueError(f"schema mismatch in vocabulary file {path!r}")
-    return Vocabulary(
-        token_to_index={t: i for i, t in enumerate(record["tokens"])},
-        min_count=int(record["min_count"]),
-        built_from=str(record["built_from"]),
-    )
+        try:
+            record = json.load(handle)
+            if not isinstance(record, dict):
+                raise ValueError("expected a JSON object")
+            if record.get("schema") != VOCAB_SCHEMA:
+                raise ValueError(f"schema mismatch: expected {VOCAB_SCHEMA!r}")
+            tokens = record["tokens"]
+            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                raise ValueError("tokens must be a list of strings")
+            token_to_index = {t: i for i, t in enumerate(tokens)}
+            if len(token_to_index) != len(tokens):
+                raise ValueError("tokens repeat")
+            return Vocabulary(
+                token_to_index=token_to_index,
+                min_count=int(record["min_count"]),
+                built_from=str(record["built_from"]),
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise located_error(path, None, exc) from None
 
 
 @dataclass
@@ -201,12 +214,33 @@ def _bow_counts(vocab: Vocabulary, tokens: Sequence[str]) -> dict[int, float]:
     return counts
 
 
+def _count_matrix(counts: Sequence[dict[int, float]], width: int) -> sp.csr_matrix:
+    """Row t holds counts[t], over `width` vocabulary columns."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in counts], out=indptr[1:])
+    indices = np.fromiter(itertools.chain.from_iterable(counts), np.int64, indptr[-1])
+    data = np.fromiter(
+        itertools.chain.from_iterable(c.values() for c in counts), np.float64, indptr[-1]
+    )
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(counts), width))
+    matrix.sort_indices()
+    return matrix
+
+
+def _bow_diff_rows(
+    counts: sp.csr_matrix, first: Sequence[int], second: Sequence[int]
+) -> sp.csr_matrix:
+    """Row i is count(second[i]) - count(first[i]): zeros dropped, indices sorted."""
+    diff = counts[np.asarray(second, dtype=np.intp)] - counts[np.asarray(first, dtype=np.intp)]
+    diff.sort_indices()
+    return diff
+
+
 def _bow_diff(first: dict[int, float], second: dict[int, float]) -> dict[int, float]:
     """count(second) - count(first), zeros dropped."""
-    diff = dict(second)
-    for index, count in first.items():
-        diff[index] = diff.get(index, 0.0) - count
-    return {i: v for i, v in diff.items() if v != 0.0}
+    width = 1 + max(itertools.chain(first, second), default=-1)
+    row = _bow_diff_rows(_count_matrix([first, second], width), [0], [1])
+    return dict(zip(row.indices.tolist(), row.data.tolist()))
 
 
 def bow_pair_features(vocab: Vocabulary, first_text: str, second_text: str) -> FeatureVector:
@@ -238,22 +272,21 @@ def _surface_triple(lexicon: Lexicon, tokens: Sequence[str]) -> tuple[float, flo
     return length, pronouns, polarity_strength
 
 
+def _surface_rows(
+    triples: np.ndarray, first: Sequence[int], second: Sequence[int]
+) -> np.ndarray:
+    """Row i: the SPECIFICITY_DENSE_NAMES of triples[first[i]] vs triples[second[i]]."""
+    a = triples[np.asarray(first, dtype=np.intp)]
+    b = triples[np.asarray(second, dtype=np.intp)]
+    # (first, second, diff) per measure: len_first, len_second, len_diff, pron_first, ...
+    return np.stack([a, b, b - a], axis=2).reshape(len(a), len(SPECIFICITY_DENSE_NAMES))
+
+
 def _surface_dense(
     first: tuple[float, float, float], second: tuple[float, float, float]
 ) -> dict[str, float]:
-    len_a, pron_a, pol_a = first
-    len_b, pron_b, pol_b = second
-    return {
-        "len_first": len_a,
-        "len_second": len_b,
-        "len_diff": len_b - len_a,
-        "pron_first": pron_a,
-        "pron_second": pron_b,
-        "pron_diff": pron_b - pron_a,
-        "pol_first": pol_a,
-        "pol_second": pol_b,
-        "pol_diff": pol_b - pol_a,
-    }
+    row = _surface_rows(np.array([first, second]), [0], [1])[0]
+    return dict(zip(SPECIFICITY_DENSE_NAMES, row.tolist()))
 
 
 def specificity_surface_features(
@@ -315,7 +348,8 @@ def _stance_text(
     )
 
 
-def _stance_features(a: _StanceText, b: _StanceText) -> FeatureVector:
+def _stance_dense(a: _StanceText, b: _StanceText) -> dict[str, float]:
+    """The dense stance features in STANCE_DENSE_NAMES order, then the embedding cosine."""
     union = a.content | b.content
     intersection = a.content & b.content
     jaccard = 1.0 if not union else len(intersection) / len(union)
@@ -335,7 +369,7 @@ def _stance_features(a: _StanceText, b: _StanceText) -> FeatureVector:
             dense[STANCE_EMBED_NAME] = 0.0
         else:
             dense[STANCE_EMBED_NAME] = float(a.mean @ b.mean / (a.norm * b.norm))
-    return FeatureVector(sparse=_bow_diff(a.counts, b.counts), dense=dense)
+    return dense
 
 
 def stance_pair_features(
@@ -356,10 +390,9 @@ def stance_pair_features(
     """
     if stop_tokens is None:
         stop_tokens = vocab.stop_tokens()
-    return _stance_features(
-        _stance_text(vocab, lexicon, a_text, embeddings, stop_tokens),
-        _stance_text(vocab, lexicon, b_text, embeddings, stop_tokens),
-    )
+    a = _stance_text(vocab, lexicon, a_text, embeddings, stop_tokens)
+    b = _stance_text(vocab, lexicon, b_text, embeddings, stop_tokens)
+    return FeatureVector(sparse=_bow_diff(a.counts, b.counts), dense=_stance_dense(a, b))
 
 
 def _path_concat(path_texts: Sequence[str]) -> tuple[str, str]:
@@ -407,6 +440,8 @@ class FeatureSchema:
 
 @dataclass
 class FeatureRecord:
+    """One feature row: the unit `FeatureTable.from_records` takes."""
+
     label: str
     sparse: dict[int, float]
     dense: dict[str, float]
@@ -415,15 +450,181 @@ class FeatureRecord:
     same_stance: Optional[bool]
 
 
+class _RowError(ValueError):
+    """A bad row found while building a table; `row` counts from 0."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(reason)
+        self.row = row
+
+
+@dataclass(eq=False)
+class FeatureTable:
+    """Feature rows held as columns.
+
+    `sparse` is the CSR block of the bag-of-words columns: one row per
+    example, `len(schema.sparse_names)` columns, indices sorted within each
+    row and every stored value kept (a stored zero stays an entry).
+    `dense` is an n x k float array in `schema.dense_names` order; a name a
+    row does not give reads 0.0. Two tables are equal when their schemas,
+    columns and the bits of both blocks are.
+    """
+
+    schema: FeatureSchema
+    labels: list[str]
+    topic_ids: list[str]
+    distances: list[int]
+    same_stance: list[Optional[bool]]
+    sparse: sp.csr_matrix
+    dense: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FeatureTable):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def _key(self) -> tuple:
+        return (
+            self.schema,
+            self.labels,
+            self.topic_ids,
+            self.distances,
+            self.same_stance,
+            self.sparse.shape,
+            self.sparse.indptr.tolist(),
+            self.sparse.indices.tolist(),
+            self.sparse.data.tobytes(),
+            self.dense.shape,
+            self.dense.tobytes(),
+        )
+
+    @classmethod
+    def from_records(cls, schema: FeatureSchema, records: Iterable[FeatureRecord]) -> FeatureTable:
+        """The table of rows given one record each; a bad sparse index names its record."""
+        columns = _Columns(schema)
+        for record in records:
+            columns.append(
+                record.label, record.topic_id, record.distance, record.same_stance,
+                record.sparse.keys(), record.sparse.values(),
+                [record.dense.get(name, 0.0) for name in schema.dense_names],
+            )
+        try:
+            return columns.table()
+        except _RowError as exc:
+            raise ValueError(f"record {exc.row}: {exc}") from None
+
+
+@dataclass
+class _Columns:
+    """Column buffers that rows are appended to, row by row."""
+
+    schema: FeatureSchema
+    labels: list = field(default_factory=list)
+    topic_ids: list = field(default_factory=list)
+    distances: list = field(default_factory=list)
+    same_stance: list = field(default_factory=list)
+    indices: list = field(default_factory=list)
+    data: list = field(default_factory=list)
+    row_lengths: list = field(default_factory=list)
+    dense: list = field(default_factory=list)
+
+    def append(
+        self,
+        label: str,
+        topic_id: str,
+        distance: int,
+        same_stance: Optional[bool],
+        indices: Iterable[int],
+        data: Iterable[float],
+        dense: list[float],
+    ) -> None:
+        self.labels.append(label)
+        self.topic_ids.append(topic_id)
+        self.distances.append(distance)
+        self.same_stance.append(same_stance)
+        size = len(self.indices)
+        self.indices.extend(indices)
+        self.row_lengths.append(len(self.indices) - size)
+        self.data.extend(data)
+        self.dense.extend(dense)
+
+    def table(self) -> FeatureTable:
+        """Sorts each row's sparse entries; an index out of range or repeated is a _RowError."""
+        n = len(self.labels)
+        width = len(self.schema.sparse_names)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.row_lengths, out=indptr[1:])
+        data = np.array(self.data, dtype=np.float64)
+        try:
+            indices = np.array(self.indices, dtype=np.int64)
+        except OverflowError:
+            raise self._out_of_range(indptr, width) from None
+        if indices.size and (indices.min() < 0 or indices.max() >= width):
+            raise self._out_of_range(indptr, width)
+        rows = np.repeat(np.arange(n), self.row_lengths)
+        same_row = np.diff(rows) == 0
+        if np.any(same_row & (np.diff(indices) <= 0)):
+            # rows is sorted already, so sorting by (row, index) leaves it as it is
+            order = np.lexsort((indices, rows))
+            indices, data = indices[order], data[order]
+            repeated = same_row & (np.diff(indices) == 0)
+            if repeated.any():
+                at = int(np.argmax(repeated))
+                raise _RowError(int(rows[at]), f"sparse index {indices[at]} repeats")
+        k = len(self.schema.dense_names)
+        return FeatureTable(
+            schema=self.schema,
+            labels=self.labels,
+            topic_ids=self.topic_ids,
+            distances=self.distances,
+            same_stance=self.same_stance,
+            sparse=sp.csr_matrix((data, indices, indptr), shape=(n, width)),
+            dense=np.array(self.dense, dtype=np.float64).reshape(n, k),
+        )
+
+    def _out_of_range(self, indptr: np.ndarray, width: int) -> _RowError:
+        for row in range(len(self.row_lengths)):
+            for index in self.indices[indptr[row] : indptr[row + 1]]:
+                if not 0 <= index < width:
+                    return _RowError(row, f"sparse index {index} out of range [0, {width})")
+        raise AssertionError("no sparse index is out of range")
+
+
+def _text_rows(pairs: Sequence[tuple[str, str]]) -> tuple[list[str], list[int], list[int]]:
+    """The distinct texts of the pairs, and each pair's two row numbers among them."""
+    row_of: dict[str, int] = {}
+    first = [row_of.setdefault(a, len(row_of)) for a, _ in pairs]
+    second = [row_of.setdefault(b, len(row_of)) for _, b in pairs]
+    return list(row_of), first, second
+
+
+def _example_table(
+    schema: FeatureSchema, examples: Sequence, sparse: sp.csr_matrix, dense: np.ndarray
+) -> FeatureTable:
+    return FeatureTable(
+        schema=schema,
+        labels=[example.label.value for example in examples],
+        topic_ids=[example.topic_id for example in examples],
+        distances=[example.distance for example in examples],
+        same_stance=[example.same_stance for example in examples],
+        sparse=sparse,
+        dense=dense,
+    )
+
+
 def featurize_specificity(
     examples: Iterable[SpecificityExample],
     vocab: Optional[Vocabulary],
     lexicon: Lexicon,
     feature_set: str = "both",
-) -> tuple[FeatureSchema, list[FeatureRecord]]:
+) -> FeatureTable:
     """Specificity features from pair texts only; the path is never used.
 
-    Each distinct text is tokenized, counted and measured once.
+    Each distinct text is tokenized, counted and measured once; the
+    examples' rows are differences of those per-text rows.
     """
     if feature_set not in ("bow", "surface", "both"):
         raise ValueError(f"unknown feature set {feature_set!r}")
@@ -437,30 +638,20 @@ def featurize_specificity(
         sparse_names=vocab.tokens() if use_bow else [],
         dense_names=list(SPECIFICITY_DENSE_NAMES) if use_surface else [],
     )
-
-    def text_values(text: str) -> tuple[dict[int, float], tuple[float, ...]]:
-        tokens = tokenize(text)
-        return (
-            _bow_counts(vocab, tokens) if use_bow else {},
-            _surface_triple(lexicon, tokens) if use_surface else (),
-        )
-
-    per_text = functools.cache(text_values)
-    records = []
-    for example in examples:
-        counts_a, triple_a = per_text(example.first_text)
-        counts_b, triple_b = per_text(example.second_text)
-        records.append(
-            FeatureRecord(
-                label=example.label.value,
-                sparse=_bow_diff(counts_a, counts_b) if use_bow else {},
-                dense=_surface_dense(triple_a, triple_b) if use_surface else {},
-                topic_id=example.topic_id,
-                distance=example.distance,
-                same_stance=example.same_stance,
-            )
-        )
-    return schema, records
+    examples = list(examples)
+    texts, first, second = _text_rows([(e.first_text, e.second_text) for e in examples])
+    tokens = [tokenize(text) for text in texts]
+    if use_bow:
+        counts = _count_matrix([_bow_counts(vocab, t) for t in tokens], len(vocab))
+        sparse = _bow_diff_rows(counts, first, second)
+    else:
+        sparse = sp.csr_matrix((len(examples), 0))
+    if use_surface:
+        triples = np.array([_surface_triple(lexicon, t) for t in tokens]).reshape(-1, 3)
+        dense = _surface_rows(triples, first, second)
+    else:
+        dense = np.zeros((len(examples), 0))
+    return _example_table(schema, examples, sparse, dense)
 
 
 def featurize_stance(
@@ -469,7 +660,7 @@ def featurize_stance(
     lexicon: Lexicon,
     embeddings: Optional[EmbeddingTable] = None,
     use_path: bool = False,
-) -> tuple[FeatureSchema, list[FeatureRecord]]:
+) -> FeatureTable:
     """Stance features over (ancestor, descendant) or the concatenated path.
 
     The per-text values are computed once per distinct string that is
@@ -485,28 +676,27 @@ def featurize_stance(
         dense_names=dense_names,
     )
     stop = vocab.stop_tokens()
-    per_text = functools.cache(lambda text: _stance_text(vocab, lexicon, text, embeddings, stop))
-    records = []
-    for example in examples:
-        if use_path:
-            first, second = _path_concat(example.path_texts)
-        else:
-            first, second = example.path_texts[0], example.path_texts[-1]
-        vector = _stance_features(per_text(first), per_text(second))
-        records.append(
-            FeatureRecord(
-                label=example.label.value,
-                sparse=vector.sparse,
-                dense=vector.dense,
-                topic_id=example.topic_id,
-                distance=example.distance,
-                same_stance=example.same_stance,
-            )
-        )
-    return schema, records
+    examples = list(examples)
+    texts, first, second = _text_rows([
+        _path_concat(e.path_texts) if use_path else (e.path_texts[0], e.path_texts[-1])
+        for e in examples
+    ])
+    per_text = [_stance_text(vocab, lexicon, text, embeddings, stop) for text in texts]
+    sparse = _bow_diff_rows(_count_matrix([t.counts for t in per_text], len(vocab)), first, second)
+    dense = np.array(
+        [list(_stance_dense(per_text[a], per_text[b]).values()) for a, b in zip(first, second)]
+    ).reshape(len(examples), len(dense_names))
+    return _example_table(schema, examples, sparse, dense)
 
 
-def write_features(schema: FeatureSchema, records: Iterable[FeatureRecord], stream: IO[str]) -> None:
+def write_features(table: FeatureTable, stream: IO[str]) -> None:
+    """One header line, then one JSON object per row.
+
+    A row's sparse object lists its stored entries in index order, its
+    dense object every dense name in schema order.
+    """
+    schema = table.schema
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     header = {
         "schema": FEATURES_SCHEMA,
         "task": schema.task,
@@ -514,43 +704,58 @@ def write_features(schema: FeatureSchema, records: Iterable[FeatureRecord], stre
         "sparse_names": schema.sparse_names,
         "dense_names": schema.dense_names,
     }
-    stream.write(json.dumps(header, ensure_ascii=False) + "\n")
-    for record in records:
-        row = {
-            "label": record.label,
-            "sparse": {str(i): v for i, v in sorted(record.sparse.items())},
-            "dense": record.dense,
-            "topic_id": record.topic_id,
-            "distance": record.distance,
-            "same_stance": "n/a" if record.same_stance is None else record.same_stance,
+    stream.write(encode(header) + "\n")
+    keys = [str(i) for i in table.sparse.indices.tolist()]
+    values = table.sparse.data.tolist()
+    indptr = table.sparse.indptr.tolist()
+    dense_rows = table.dense.tolist()
+    for row, (label, topic_id, distance, same_stance) in enumerate(
+        zip(table.labels, table.topic_ids, table.distances, table.same_stance)
+    ):
+        start, end = indptr[row], indptr[row + 1]
+        line = {
+            "label": label,
+            "sparse": dict(zip(keys[start:end], values[start:end])),
+            "dense": dict(zip(schema.dense_names, dense_rows[row])),
+            "topic_id": topic_id,
+            "distance": distance,
+            "same_stance": "n/a" if same_stance is None else same_stance,
         }
-        stream.write(json.dumps(row, ensure_ascii=False) + "\n")
+        stream.write(encode(line) + "\n")
 
 
-def write_features_file(schema: FeatureSchema, records: Iterable[FeatureRecord], path: str) -> None:
+def write_features_file(table: FeatureTable, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        write_features(schema, records, handle)
+        write_features(table, handle)
 
 
-def _feature_record(row: object) -> FeatureRecord:
+def _read_row(row: object, columns: _Columns) -> None:
+    """Appends one parsed row; sparse keys convert with int(), values with float()."""
     if not isinstance(row, dict):
         raise ValueError("expected a JSON object")
     sparse, dense = row["sparse"], row["dense"]
     if not isinstance(sparse, dict) or not isinstance(dense, dict):
         raise ValueError("sparse and dense must be JSON objects")
     same_stance = row["same_stance"]
-    return FeatureRecord(
-        label=row["label"],
-        sparse={int(i): float(v) for i, v in sparse.items()},
-        dense={k: float(v) for k, v in dense.items()},
-        topic_id=row["topic_id"],
-        distance=int(row["distance"]),
-        same_stance=None if same_stance == "n/a" else bool(same_stance),
+    label = row["label"]
+    indices = list(map(int, sparse))
+    data = list(map(float, sparse.values()))
+    values = dict(zip(dense, map(float, dense.values())))
+    topic_id = row["topic_id"]
+    distance = int(row["distance"])
+    if not isinstance(label, str) or not isinstance(topic_id, str):
+        raise ValueError("label and topic_id must be strings")
+    columns.append(
+        label, topic_id, distance, None if same_stance == "n/a" else bool(same_stance),
+        indices, data, [values.get(name, 0.0) for name in columns.schema.dense_names],
     )
 
 
-def read_features_file(path: str) -> tuple[FeatureSchema, list[FeatureRecord]]:
-    """Every format error is one ValueError naming the file and line."""
+def read_features_file(path: str) -> FeatureTable:
+    """Rows stream straight into column buffers.
+
+    Every format error is one ValueError naming the file and line.
+    """
     with open(path, encoding="utf-8") as handle:
         header_line = handle.readline()
         if not header_line.strip():
@@ -567,12 +772,17 @@ def read_features_file(path: str) -> tuple[FeatureSchema, list[FeatureRecord]]:
             )
         except (ValueError, KeyError, TypeError) as exc:
             raise located_error(path, 1, exc) from None
-        records = []
+        columns = _Columns(schema)
+        line_numbers = []
         for line_no, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
             try:
-                records.append(_feature_record(json.loads(line)))
+                _read_row(json.loads(line), columns)
             except (ValueError, KeyError, TypeError) as exc:
                 raise located_error(path, line_no, exc) from None
-    return schema, records
+            line_numbers.append(line_no)
+    try:
+        return columns.table()
+    except _RowError as exc:
+        raise located_error(path, line_numbers[exc.row], exc) from None

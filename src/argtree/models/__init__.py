@@ -137,7 +137,18 @@ def save_model(model: AnyModel, path: str) -> None:
     write_checkpoint(path, kind, seed, blocks, meta)
 
 
-def _neural_params_from_blocks(blocks: dict[str, np.ndarray]) -> NeuralParams:
+class _Entries(dict):
+    """One section of a checkpoint; looking up an entry it lacks is a format error."""
+
+    def __init__(self, what: str, entries: dict):
+        super().__init__(entries)
+        self.what = what
+
+    def __missing__(self, key: str):
+        raise CheckpointFormatError(f"missing {self.what} {key!r}")
+
+
+def _neural_params_from_blocks(blocks: _Entries, hier: bool) -> NeuralParams:
     if "enc/tok_emb" in blocks:
         prefixes = ["enc"]
     else:
@@ -157,7 +168,7 @@ def _neural_params_from_blocks(blocks: dict[str, np.ndarray]) -> NeuralParams:
         for p in prefixes
     ]
     gru = None
-    if "gru_fwd/w_z" in blocks:
+    if hier:
         gru = BiGRUParams(
             fwd=GRUParams(**{n: blocks[f"gru_fwd/{n}"] for n in GRU_BLOCK_NAMES}),
             bwd=GRUParams(**{n: blocks[f"gru_bwd/{n}"] for n in GRU_BLOCK_NAMES}),
@@ -166,7 +177,21 @@ def _neural_params_from_blocks(blocks: dict[str, np.ndarray]) -> NeuralParams:
 
 
 def load_model(path: str) -> AnyModel:
+    """Load any checkpoint that save_model writes.
+
+    A block or meta key that the model needs and the file lacks is a
+    CheckpointFormatError that names the file and the entry.
+    """
     kind, seed, blocks, meta = read_checkpoint(path)
+    if not isinstance(meta, dict):
+        raise CheckpointFormatError(f"{path}: [meta] is not a JSON object")
+    try:
+        return _model_from(kind, seed, _Entries("block", blocks), _Entries("meta key", meta))
+    except CheckpointFormatError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from None
+
+
+def _model_from(kind: str, seed: int, blocks: _Entries, meta: _Entries) -> AnyModel:
     if kind == "majority":
         return MajorityBaseline(
             label=meta["label"],
@@ -190,7 +215,7 @@ def load_model(path: str) -> AnyModel:
             history=_history_from_meta(meta.get("history", [])),
         )
     if kind in MODEL_KINDS:
-        raw = meta["encoder_config"]
+        raw = _Entries("encoder_config key", meta["encoder_config"])
         config = EncoderConfig(
             dim=int(raw["dim"]),
             hidden=int(raw["hidden"]),
@@ -206,7 +231,7 @@ def load_model(path: str) -> AnyModel:
             label_names=list(meta["label_names"]),
             vocab=EncoderVocab(tokens=list(meta["tokens"])),
             encoder_config=config,
-            params=_neural_params_from_blocks(blocks),
+            params=_neural_params_from_blocks(blocks, hier=kind == "path-hier"),
             seed=seed,
             history=_history_from_meta(meta.get("history", [])),
         )

@@ -95,6 +95,8 @@ def read_checkpoint(path: str) -> tuple[str, int, dict[str, np.ndarray], dict]:
         rows, cols = int(rows_s), int(cols_s)
         if name in blocks:
             raise CheckpointFormatError(f"duplicate block {name!r}")
+        if i + rows >= len(lines):
+            raise CheckpointFormatError(f"block {name!r} is truncated")
         data = np.empty((rows, cols))
         for r in range(rows):
             row_line = lines[i + 1 + r]

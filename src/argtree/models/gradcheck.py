@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..features import FeatureRecord, FeatureSchema
+from ..features import FeatureRecord, FeatureSchema, FeatureTable
 from .config import EncoderConfig
 from .encoder import EncoderVocab, pack_pair, pack_path_flat, pack_path_pairs
 from .logreg import design_matrix, label_vector, loss_and_grad
@@ -68,8 +68,9 @@ def gradcheck_logreg(seed: int = 0, epsilon: float = EPSILON) -> GradCheckResult
                 same_stance=None,
             )
         )
-    X = design_matrix(records, schema, np.zeros(2), np.ones(2))
-    y = label_vector(records, ["a", "b"])
+    table = FeatureTable.from_records(schema, records)
+    X = design_matrix(table, np.zeros(2), np.ones(2))
+    y = label_vector(table, ["a", "b"])
     w = rng.normal(scale=0.5, size=schema.width)
     b = float(rng.normal(scale=0.5))
     l2 = 1e-2

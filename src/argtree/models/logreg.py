@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ..features import FeatureRecord, FeatureSchema
+from ..features import FeatureTable
 from .config import (
     DIVERGENCE_EPOCHS,
     DIVERGENCE_FACTOR,
@@ -25,58 +25,47 @@ from .config import (
 )
 
 
-def standardization_stats(
-    records: Sequence[FeatureRecord], dense_names: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
+def standardization_stats(table: FeatureTable) -> tuple[np.ndarray, np.ndarray]:
     """Mean and std per dense feature; zero-variance features get std 1."""
-    if not dense_names:
-        return np.zeros(0), np.ones(0)
-    values = np.array(
-        [[record.dense.get(name, 0.0) for name in dense_names] for record in records]
-    )
-    mean = values.mean(axis=0) if len(records) else np.zeros(len(dense_names))
-    std = values.std(axis=0) if len(records) else np.ones(len(dense_names))
-    std = np.where(std == 0.0, 1.0, std)
-    return mean, std
+    k = table.dense.shape[1]
+    if not len(table):
+        return np.zeros(k), np.ones(k)
+    std = table.dense.std(axis=0)
+    return table.dense.mean(axis=0), np.where(std == 0.0, 1.0, std)
 
 
 def design_matrix(
-    records: Sequence[FeatureRecord],
-    schema: FeatureSchema,
-    dense_mean: np.ndarray,
-    dense_std: np.ndarray,
+    table: FeatureTable, dense_mean: np.ndarray, dense_std: np.ndarray
 ) -> sp.csr_matrix:
-    n_sparse = len(schema.sparse_names)
-    dense_names = schema.dense_names
-    data: list[float] = []
-    indices: list[int] = []
-    indptr = [0]
-    for record in records:
-        for index in sorted(record.sparse):
-            indices.append(index)
-            data.append(record.sparse[index])
-        for j, name in enumerate(dense_names):
-            raw = record.dense.get(name, 0.0)
-            indices.append(n_sparse + j)
-            data.append((raw - dense_mean[j]) / dense_std[j])
-        indptr.append(len(data))
-    return sp.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(records), schema.width),
-    )
+    """Each row holds its sparse entries, then every standardized dense value.
+
+    A dense value that standardizes to zero is still a stored entry, so
+    every row has the same number of dense entries.
+    """
+    sparse = table.sparse
+    n, k = table.dense.shape
+    sparse_lengths = np.diff(sparse.indptr)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sparse_lengths + k, out=indptr[1:])
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    # entry e of row r moves right past the dense entries of the rows before r
+    at = np.arange(sparse.nnz) + k * np.repeat(np.arange(n), sparse_lengths)
+    data[at] = sparse.data
+    indices[at] = sparse.indices
+    dense_at = (indptr[1:] - k)[:, None] + np.arange(k)
+    data[dense_at] = (table.dense - dense_mean) / dense_std
+    indices[dense_at] = sparse.shape[1] + np.arange(k)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, sparse.shape[1] + k))
 
 
-def label_vector(records: Sequence[FeatureRecord], label_names: Sequence[str]) -> np.ndarray:
+def label_vector(table: FeatureTable, label_names: Sequence[str]) -> np.ndarray:
     if len(label_names) != 2:
         raise ValueError(f"expected exactly 2 classes, got {list(label_names)}")
-    positive = label_names[1]
-    y = np.zeros(len(records))
-    for i, record in enumerate(records):
-        if record.label not in label_names:
-            raise ValueError(f"unknown label {record.label!r}")
-        if record.label == positive:
-            y[i] = 1.0
-    return y
+    unknown = [label for label in table.labels if label not in label_names]
+    if unknown:
+        raise ValueError(f"unknown label {unknown[0]!r}")
+    return (np.array(table.labels, dtype=object) == label_names[1]).astype(np.float64)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -114,20 +103,12 @@ class LogisticRegressionModel:
     seed: int
     history: list[EpochStats] = field(default_factory=list)
 
-    def schema(self) -> FeatureSchema:
-        return FeatureSchema(
-            task=self.task,
-            feature_set=self.feature_set,
-            sparse_names=self.sparse_names,
-            dense_names=self.dense_names,
-        )
-
-    def decision_values(self, records: Sequence[FeatureRecord]) -> np.ndarray:
-        X = design_matrix(records, self.schema(), self.dense_mean, self.dense_std)
+    def decision_values(self, table: FeatureTable) -> np.ndarray:
+        X = design_matrix(table, self.dense_mean, self.dense_std)
         return X @ self.weights + self.bias
 
-    def predict_labels(self, records: Sequence[FeatureRecord]) -> list[str]:
-        values = self.decision_values(records)
+    def predict_labels(self, table: FeatureTable) -> list[str]:
+        values = self.decision_values(table)
         return [self.label_names[1] if v > 0 else self.label_names[0] for v in values]
 
     def top_features(self, k: int = 20) -> list[tuple[str, float]]:
@@ -142,26 +123,26 @@ def _batches(n: int, batch_size: int, order: np.ndarray) -> Iterator[np.ndarray]
 
 
 def train_logreg(
-    schema: FeatureSchema,
-    train_records: Sequence[FeatureRecord],
-    dev_records: Optional[Sequence[FeatureRecord]] = None,
+    train: FeatureTable,
+    dev: Optional[FeatureTable] = None,
     config: Optional[TrainConfig] = None,
 ) -> LogisticRegressionModel:
     """Seeded mini-batch gradient descent with best-dev checkpointing."""
     config = config or TrainConfig()
     config.validate()
-    if not train_records:
+    if not len(train):
         raise ValueError("no training records")
-    label_names = sorted({record.label for record in train_records})
+    schema = train.schema
+    label_names = sorted(set(train.labels))
     if len(label_names) == 1:
         raise ValueError(f"training data contains a single class {label_names[0]!r}")
-    dense_mean, dense_std = standardization_stats(train_records, schema.dense_names)
-    X = design_matrix(train_records, schema, dense_mean, dense_std)
-    y = label_vector(train_records, label_names)
+    dense_mean, dense_std = standardization_stats(train)
+    X = design_matrix(train, dense_mean, dense_std)
+    y = label_vector(train, label_names)
     X_dev = y_dev = None
-    if dev_records:
-        X_dev = design_matrix(dev_records, schema, dense_mean, dense_std)
-        y_dev = label_vector(dev_records, label_names)
+    if dev is not None and len(dev):
+        X_dev = design_matrix(dev, dense_mean, dense_std)
+        y_dev = label_vector(dev, label_names)
 
     w = np.zeros(schema.width)
     b = 0.0
@@ -174,8 +155,8 @@ def train_logreg(
     high_loss_streak = 0
 
     for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(len(train_records))
-        for batch in _batches(len(train_records), config.batch_size, order):
+        order = rng.permutation(len(train))
+        for batch in _batches(len(train), config.batch_size, order):
             _, grad_w, grad_b = loss_and_grad(X[batch], y[batch], w, b, config.l2)
             w -= config.learning_rate * grad_w
             b -= config.learning_rate * grad_b

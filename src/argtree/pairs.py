@@ -213,18 +213,33 @@ def write_split_file(split: TopicSplit, path: str) -> None:
         write_split(split, handle)
 
 
+def _topic_ids(record: dict, part: str) -> frozenset[str]:
+    ids = record[part]
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        raise ValueError(f"{part} must be a list of strings")
+    return frozenset(ids)
+
+
 def read_split_file(path: str) -> TopicSplit:
+    """Every format error is one ValueError naming the file."""
     with open(path, encoding="utf-8") as handle:
-        record = json.load(handle)
-    if record.get("schema") != SPLIT_SCHEMA:
-        raise ValueError(f"schema mismatch in split file {path!r}")
-    return TopicSplit(
-        train=frozenset(record["train"]),
-        dev=frozenset(record["dev"]),
-        test=frozenset(record["test"]),
-        seed=int(record["seed"]),
-        ratios=tuple(record["ratios"]),
-    )
+        try:
+            record = json.load(handle)
+            if not isinstance(record, dict):
+                raise ValueError("expected a JSON object")
+            if record.get("schema") != SPLIT_SCHEMA:
+                raise ValueError(f"schema mismatch: expected {SPLIT_SCHEMA!r}")
+            if not isinstance(record["ratios"], list):
+                raise ValueError("ratios must be a list")
+            return TopicSplit(
+                train=_topic_ids(record, "train"),
+                dev=_topic_ids(record, "dev"),
+                test=_topic_ids(record, "test"),
+                seed=int(record["seed"]),
+                ratios=tuple(record["ratios"]),
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise located_error(path, None, exc) from None
 
 
 def _same_stance_to_json(value: Optional[bool]):
@@ -280,15 +295,19 @@ def write_pairs_file(examples: Iterable[SpecificityExample | StanceExample], pat
         write_pairs(examples, handle)
 
 
-def located_error(source: str, line_no: int, exc: Exception) -> ValueError:
-    """The one error a reader raises for a bad record: "<source>:<line>: <reason>"."""
+def located_error(source: str, line_no: Optional[int], exc: Exception) -> ValueError:
+    """The one error a reader raises for a bad record: "<source>:<line>: <reason>".
+
+    Readers of whole-file JSON documents pass no line: "<source>: <reason>".
+    """
     if isinstance(exc, json.JSONDecodeError):
         reason = f"invalid JSON ({exc.msg})"
     elif isinstance(exc, KeyError):
         reason = f"missing field {exc.args[0]!r}"
     else:
         reason = str(exc)
-    return ValueError(f"{source}:{line_no}: {reason}")
+    where = source if line_no is None else f"{source}:{line_no}"
+    return ValueError(f"{where}: {reason}")
 
 
 def _example_from_record(record: object) -> SpecificityExample | StanceExample:

@@ -467,12 +467,11 @@ def test_criterion_8_deterministic_training(capsys):
         min_count=2,
         built_from="determinism-check",
     )
-    schema, records = featurize_specificity(specificity, vocab, Lexicon())
+    records = featurize_specificity(specificity, vocab, Lexicon())
+    first_200 = featurize_specificity(specificity[:200], vocab, Lexicon())
 
     def logreg_once():
-        model = train_logreg(
-            schema, records, records[:200], TrainConfig(seed=3, max_epochs=5)
-        )
+        model = train_logreg(records, first_200, TrainConfig(seed=3, max_epochs=5))
         return _checkpoint_text(model)
 
     neural_a, report_a = neural_once()

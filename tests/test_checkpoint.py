@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from argtree.features import FeatureRecord, FeatureSchema
+from argtree.features import FeatureRecord, FeatureSchema, FeatureTable
 from argtree.models import (
     EncoderConfig,
     LengthBaseline,
@@ -162,12 +164,13 @@ def _logreg_fixture():
                 same_stance=None,
             )
         )
-    return schema, records
+    first_six = FeatureTable.from_records(schema, records[:6])
+    return FeatureTable.from_records(schema, records), first_six
 
 
 def test_logreg_round_trip(tmp_path):
-    schema, records = _logreg_fixture()
-    model = train_logreg(schema, records, dev_records=records[:6])
+    records, first_six = _logreg_fixture()
+    model = train_logreg(records, dev=first_six)
     path = str(tmp_path / "logreg.ckpt")
     save_model(model, path)
     loaded = load_model(path)
@@ -268,11 +271,61 @@ def test_unknown_kind_rejected_on_load(tmp_path):
         load_model(str(path))
 
 
+def _without_block(path, name) -> None:
+    """Rewrite a checkpoint without one block (its header and rows)."""
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"[block {name} "))
+    rows = int(lines[start][1:-1].split(" ")[2])
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines[:start] + lines[start + 1 + rows :]) + "\n")
+
+
+def _without_meta_key(path, key) -> None:
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    meta = json.loads(lines[-1])
+    del meta[key]
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines[:-1] + [json.dumps(meta)]) + "\n")
+
+
+@pytest.mark.parametrize(
+    "kind, block, meta_key",
+    [("logreg", "dense_std", "sparse_names"), ("path-hier", "gru_bwd/u_r", "tokens")],
+)
+def test_missing_block_or_meta_key_names_path_and_name(tmp_path, kind, block, meta_key):
+    if kind == "logreg":
+        records, _ = _logreg_fixture()
+        model = train_logreg(records)
+    else:
+        model, _ = _neural_fixture(kind)
+    for edit, name in ((_without_block, block), (_without_meta_key, meta_key)):
+        path = str(tmp_path / f"{kind}-{edit.__name__}.ckpt")
+        save_model(model, path)
+        edit(path, name)
+        with pytest.raises(CheckpointFormatError) as excinfo:
+            load_model(path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: ")
+        assert repr(name) in message
+
+
+def test_truncated_block_rejected(tmp_path):
+    path = _write(tmp_path, "m.ckpt", "logreg", 0, {"w": np.ones((3, 2))}, {})
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines[:3]) + "\n")
+    with pytest.raises(CheckpointFormatError, match="truncated"):
+        read_checkpoint(path)
+
+
 def test_model_payload_kinds():
     majority = majority_fit(["supports"], "supports", task="stance")
     assert model_payload(majority)[0] == "majority"
     assert model_payload(LengthBaseline())[0] == "length"
-    schema, records = _logreg_fixture()
-    assert model_payload(train_logreg(schema, records))[0] == "logreg"
+    records, _ = _logreg_fixture()
+    assert model_payload(train_logreg(records))[0] == "logreg"
     model, _ = _neural_fixture("path-flat")
     assert model_payload(model)[0] == "path-flat"

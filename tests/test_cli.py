@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import argtree
+import argtree.cli
 from argtree.cli import main
 from argtree.corpus_io import parse_corpus_file
 from argtree.features import read_features_file
@@ -224,8 +225,8 @@ def test_featurize_builds_then_reuses_vocabulary(pipeline, tmp_path):
     assert code == 0
     assert pipeline["vocab"].read_bytes() == vocab_before
     assert out.read_bytes() == pipeline["specificity_features"].read_bytes()
-    schema, records = read_features_file(str(out))
-    assert schema.task == "specificity"
+    records = read_features_file(str(out))
+    assert records.schema.task == "specificity"
     assert len(records) == len(read_pairs_file(str(pipeline["specificity_pairs"])))
 
 
@@ -482,6 +483,114 @@ def test_bad_features_line_is_one_located_error(pipeline, tmp_path, capsys, line
         "--train", str(path), "-o", str(tmp_path / "m.ckpt"),
     ])
     assert reason in _one_located_error(capsys, code, path, line_no)
+
+
+def _one_file_error(capsys, code, path) -> str:
+    """Exit 1 and a single `error:` line that starts with `<path>: `."""
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, err
+    assert errors[0].startswith(f"error: {path}: "), errors[0]
+    return errors[0]
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        ('{"schema": "argtree-vocab/1", "min_count": 2}', "missing field 'tokens'"),
+        ('["a", "b"]', "expected a JSON object"),
+        ('{"schema": "argtree-vocab/1", "tokens": [', "invalid JSON"),
+        ('{"schema": "argtree-vocab/1", "min_count": 1, "built_from": "x", "tokens": 5}',
+         "tokens must be a list of strings"),
+        ('{"schema": "argtree-vocab/0", "tokens": []}', "schema mismatch"),
+    ],
+    ids=["missing-tokens", "list", "not-json", "tokens-not-list", "schema"],
+)
+def test_bad_vocabulary_file_is_one_file_error(pipeline, tmp_path, capsys, content, reason):
+    path = tmp_path / "v.json"
+    path.write_text(content + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main([
+        "featurize", str(pipeline["specificity_pairs"]), "--task", "specificity",
+        "--vocab", str(path), "-o", str(tmp_path / "f.jsonl"),
+    ])
+    assert reason in _one_file_error(capsys, code, path)
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda record: {k: v for k, v in record.items() if k != "train"}, "missing field 'train'"),
+        (lambda record: [record], "expected a JSON object"),
+        (lambda record: dict(record, dev="abc"), "dev must be a list of strings"),
+        (lambda record: dict(record, seed="x"), "'x'"),
+    ],
+    ids=["missing-train", "list", "dev-not-list", "bad-seed"],
+)
+def test_bad_split_file_is_one_file_error(pipeline, tmp_path, capsys, edit, reason):
+    path = tmp_path / "s.json"
+    record = json.loads(pipeline["split"].read_text(encoding="utf-8"))
+    path.write_text(json.dumps(edit(record)) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main([
+        "derive-pairs", str(pipeline["corpus"]), "--task", "stance",
+        "--split", str(path), "--part", "train", "-o", str(tmp_path / "p.jsonl"),
+    ])
+    assert reason in _one_file_error(capsys, code, path)
+
+
+def test_checkpoint_without_a_block_is_one_file_error(pipeline, tmp_path, capsys):
+    lines = pipeline["logreg_ckpt"].read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("[block dense_std "))
+    path = tmp_path / "logreg.ckpt"
+    path.write_text("\n".join(lines[:start] + lines[start + 2:]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main([
+        "evaluate", "--model", str(path), "--test", str(pipeline["specificity_features"]),
+        "-o", str(tmp_path / "e.csv"),
+    ])
+    assert "'dense_std'" in _one_file_error(capsys, code, path)
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_significance_reads_a_features_test_file_once(pipeline, tmp_path, monkeypatch, capsys):
+    majority = tmp_path / "majority.ckpt"
+    assert main([
+        "train", "--model", "majority", "--task", "specificity",
+        "--train", str(pipeline["specificity_pairs"]), "-o", str(majority),
+    ]) == 0
+    calls = _count_calls(monkeypatch, argtree.cli, "read_features_file")
+    code = main([
+        "significance", "--model-a", str(pipeline["logreg_ckpt"]), "--model-b", str(majority),
+        "--test", str(pipeline["specificity_features"]),
+    ])
+    assert code == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.startswith("model-a: logreg")
+
+
+def test_significance_reads_a_pairs_test_file_once(pipeline, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, argtree.cli, "read_pairs_file")
+    code = main([
+        "significance", "--model-a", str(pipeline["majority_ckpt"]),
+        "--model-b", str(pipeline["pair_ckpt"]), "--test", str(pipeline["stance_test"]),
+    ])
+    assert code == 0
+    assert len(calls) == 1
+    assert "model-b: pair" in capsys.readouterr().out
 
 
 def test_unknown_stratum_is_usage_error(pipeline, tmp_path):

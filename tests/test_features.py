@@ -30,6 +30,7 @@ from argtree.features import (
     write_vocabulary_file,
 )
 from argtree.pairs import derive_specificity_examples, derive_stance_examples
+from features_reference import table_records
 
 
 LEXICON = Lexicon(
@@ -190,15 +191,16 @@ def test_featurize_specificity_schema_and_round_trip(uniform_corpus, tmp_path):
     vocab = build_vocabulary(
         (t for e in examples for t in (e.first_text, e.second_text)), min_count=1
     )
-    schema, records = featurize_specificity(examples, vocab, LEXICON, feature_set="both")
+    records = featurize_specificity(examples, vocab, LEXICON, feature_set="both")
+    schema = records.schema
     assert schema.task == "specificity"
     assert schema.width == len(vocab) + 9
     assert len(records) == len(examples)
 
     path = str(tmp_path / "features.txt")
-    write_features_file(schema, records, path)
-    schema_back, records_back = read_features_file(path)
-    assert schema_back == schema
+    write_features_file(records, path)
+    records_back = read_features_file(path)
+    assert records_back.schema == schema
     assert records_back == records
 
 
@@ -206,7 +208,7 @@ def test_featurize_specificity_bow_requires_vocab(uniform_corpus):
     examples = list(derive_specificity_examples(uniform_corpus, seed=1))
     with pytest.raises(ValueError):
         featurize_specificity(examples, None, LEXICON, feature_set="bow")
-    schema, _ = featurize_specificity(examples, None, LEXICON, feature_set="surface")
+    schema = featurize_specificity(examples, None, LEXICON, feature_set="surface").schema
     assert schema.sparse_names == []
 
 
@@ -215,22 +217,24 @@ def test_featurize_stance_endpoint_vs_path(uniform_corpus, tmp_path):
     vocab = build_vocabulary(
         (t for e in examples for t in e.path_texts), min_count=1
     )
-    schema_end, records_end = featurize_stance(examples, vocab, LEXICON, use_path=False)
-    schema_path, records_path = featurize_stance(examples, vocab, LEXICON, use_path=True)
+    table_end = featurize_stance(examples, vocab, LEXICON, use_path=False)
+    table_path = featurize_stance(examples, vocab, LEXICON, use_path=True)
+    schema_end, schema_path = table_end.schema, table_path.schema
     assert schema_end.feature_set == "endpoint"
     assert schema_path.feature_set == "path"
     assert schema_end.tag() != schema_path.tag()
     # Distance-one records agree because the path is just (ancestor, descendant).
+    records_end, records_path = table_records(table_end), table_records(table_path)
     for e, r_end, r_path in zip(examples, records_end, records_path):
         if e.distance == 1:
             assert r_end.sparse == r_path.sparse
             assert r_end.dense == r_path.dense
 
     path = str(tmp_path / "stance.txt")
-    write_features_file(schema_path, records_path, path)
-    schema_back, records_back = read_features_file(path)
-    assert schema_back == schema_path
-    assert records_back == records_path
+    write_features_file(table_path, path)
+    table_back = read_features_file(path)
+    assert table_back.schema == schema_path
+    assert table_back == table_path
 
 
 def test_featurize_matches_the_per_pair_functions(uniform_corpus):
@@ -240,7 +244,7 @@ def test_featurize_matches_the_per_pair_functions(uniform_corpus):
     )
     spec = list(derive_specificity_examples(uniform_corpus, seed=1))
     vocab = build_vocabulary((t for e in spec for t in (e.first_text, e.second_text)), min_count=1)
-    _, records = featurize_specificity(spec, vocab, LEXICON, feature_set="both")
+    records = table_records(featurize_specificity(spec, vocab, LEXICON, feature_set="both"))
     for example, record in zip(spec, records):
         assert record.sparse == bow_pair_features(vocab, example.first_text, example.second_text).sparse
         assert record.dense == specificity_surface_features(
@@ -249,7 +253,9 @@ def test_featurize_matches_the_per_pair_functions(uniform_corpus):
     stance = list(derive_stance_examples(uniform_corpus))
     stop = vocab.stop_tokens()
     for use_path in (False, True):
-        _, records = featurize_stance(stance, vocab, LEXICON, embeddings, use_path=use_path)
+        records = table_records(
+            featurize_stance(stance, vocab, LEXICON, embeddings, use_path=use_path)
+        )
         for example, record in zip(stance, records):
             if use_path:
                 expected = path_concat_features(
@@ -283,7 +289,7 @@ def test_bad_features_header_is_a_located_error(tmp_path, header, reason):
 def test_feature_records_keep_strata_fields(uniform_corpus):
     examples = list(derive_stance_examples(uniform_corpus))
     vocab = build_vocabulary((t for e in examples for t in e.path_texts), min_count=1)
-    _, records = featurize_stance(examples, vocab, LEXICON)
+    records = table_records(featurize_stance(examples, vocab, LEXICON))
     for example, record in zip(examples, records):
         assert record.topic_id == example.topic_id
         assert record.distance == example.distance

@@ -6,12 +6,18 @@ with polarities and components that are not exact binary fractions, so a
 change in the order of any float sum (polarity, embedding mean) changes
 the features' bytes. The digests were recorded before per-text caching
 entered vocabulary building and featurization.
+
+A logistic regression trained on the `both` features, its evaluation
+report and its significance test against the majority baseline are pinned
+too; those digests were recorded before the columnar feature table
+replaced the per-record feature lists.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -58,6 +64,19 @@ GOLDEN_SHA256 = {
     "stance-endpoint.jsonl": "d9be205e6a7a59734d8fc2cb001f9cc6920e3dd38d6af5c55ee9ace9da0ff098",
     "stance-path.jsonl": "6537a069b3846f31e4deb6646d3adbf13fc014b3ef43095af79512db95ed41a2",
 }
+
+TRAINED_SHA256 = {
+    "logreg.ckpt": "0c3fa8e7f3231ebea5a5d558ddfddba61aa9a9818ce134168c965e82c55b3dba",
+    "logreg.report.json": "66803f16cd5656ed9175e44e513bc005be38e627182cd00a4c933930d2a2fc11",
+}
+
+SIGNIFICANCE_STDOUT = """\
+model-a: logreg  accuracy 0.9559
+model-b: majority  accuracy 0.5539
+topics: 6
+t: 32.4133  df: 5  p: 0.000001
+significant at alpha=0.05: yes
+"""
 
 
 def _lexicon_text() -> str:
@@ -114,6 +133,51 @@ def derived(tmp_path_factory):
 def test_derived_file_bytes_are_pinned(derived, name):
     digest = hashlib.sha256((derived / name).read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256[name]
+
+
+@pytest.fixture(scope="module")
+def trained(derived):
+    """logreg and majority on the `both` features, then evaluate and significance."""
+    stdout = io.StringIO()
+
+    def run(*argv):
+        with contextlib.redirect_stdout(stdout):
+            code = main(list(argv))
+        assert code == 0, f"argtree {argv[0]} exited {code}"
+
+    with contextlib.chdir(derived):
+        run(
+            "train", "--model", "logreg", "--task", "specificity", "--seed", "3",
+            "--train", "specificity-both.jsonl", "--dev", "specificity-both.jsonl",
+            "-o", "logreg.ckpt",
+        )
+        run(
+            "train", "--model", "majority", "--task", "specificity",
+            "--train", "specificity-pairs.jsonl", "-o", "majority.ckpt",
+        )
+        run(
+            "evaluate", "--model", "logreg.ckpt", "--test", "specificity-both.jsonl",
+            "--json", "logreg.report.json", "-o", "logreg.csv",
+        )
+        stdout.seek(0)
+        stdout.truncate()
+        run(
+            "significance", "--model-a", "logreg.ckpt", "--model-b", "majority.ckpt",
+            "--test", "specificity-both.jsonl",
+        )
+    return derived, stdout.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(TRAINED_SHA256))
+def test_trained_file_bytes_are_pinned(trained, name):
+    root, _ = trained
+    digest = hashlib.sha256((root / name).read_bytes()).hexdigest()
+    assert digest == TRAINED_SHA256[name]
+
+
+def test_significance_stdout_is_pinned(trained):
+    _, stdout = trained
+    assert stdout == SIGNIFICANCE_STDOUT
 
 
 def _reference_ids(vocab: EncoderVocab, text: str, truncate: int) -> list[int]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from argtree.features import FeatureRecord, FeatureSchema
+from argtree.features import FeatureRecord, FeatureSchema, FeatureTable
 from argtree.models import TrainConfig, train_logreg
 from argtree.models.logreg import (
     design_matrix,
@@ -35,7 +35,7 @@ def _record(label: str, sparse: dict[int, float], dense_value: float, topic="t0"
     )
 
 
-SEPARABLE = [
+SEPARABLE_RECORDS = [
     _record("neg", {0: 2.0}, -1.0),
     _record("neg", {0: 1.0, 1: 1.0}, -0.5),
     _record("neg", {0: 3.0}, -1.5),
@@ -43,24 +43,25 @@ SEPARABLE = [
     _record("pos", {1: -1.0, 2: 1.0}, 0.5),
     _record("pos", {2: 3.0}, 1.2),
 ]
+SEPARABLE = FeatureTable.from_records(_schema(), SEPARABLE_RECORDS)
 
 
 def test_standardization_stats_zero_std_guard():
     schema = _schema(dense=("constant",))
-    records = [
+    records = FeatureTable.from_records(schema, [
         FeatureRecord("a", {}, {"constant": 4.0}, "t", 1, None),
         FeatureRecord("b", {}, {"constant": 4.0}, "t", 1, None),
-    ]
-    mean, std = standardization_stats(records, schema.dense_names)
+    ])
+    mean, std = standardization_stats(records)
     assert mean[0] == pytest.approx(4.0)
     assert std[0] == 1.0  # zero spread maps to unit scale, not division by zero
 
 
 def test_design_matrix_layout():
     schema = _schema()
-    records = SEPARABLE[:2]
-    mean, std = standardization_stats(records, schema.dense_names)
-    X = design_matrix(records, schema, mean, std)
+    records = FeatureTable.from_records(schema, SEPARABLE_RECORDS[:2])
+    mean, std = standardization_stats(records)
+    X = design_matrix(records, mean, std)
     assert X.shape == (2, 4)  # 3 sparse + 1 dense
     dense_col = X.toarray()[:, 3]
     assert dense_col == pytest.approx((np.array([-1.0, -0.5]) - mean[0]) / std[0])
@@ -71,15 +72,15 @@ def test_label_vector_uses_sorted_positive_class():
     y = label_vector(SEPARABLE, ["neg", "pos"])
     assert y.tolist() == [0, 0, 0, 1, 1, 1]
     with pytest.raises(ValueError):
-        label_vector([_record("other", {}, 0.0)], ["neg", "pos"])
+        other = FeatureTable.from_records(_schema(), [_record("other", {}, 0.0)])
+        label_vector(other, ["neg", "pos"])
 
 
 def test_first_gradient_step_from_zero_weights():
     """With zero weights every probability is one half, so the gradient is
     the mean of (0.5 - y) times the feature row."""
-    schema = _schema()
-    mean, std = standardization_stats(SEPARABLE, schema.dense_names)
-    X = design_matrix(SEPARABLE, schema, mean, std)
+    mean, std = standardization_stats(SEPARABLE)
+    X = design_matrix(SEPARABLE, mean, std)
     y = label_vector(SEPARABLE, ["neg", "pos"])
     w = np.zeros(4)
     loss, grad_w, grad_b = loss_and_grad(X, y, w, 0.0, l2=0.0)
@@ -90,9 +91,8 @@ def test_first_gradient_step_from_zero_weights():
 
 
 def test_l2_penalty_enters_loss_and_grad():
-    schema = _schema()
-    mean, std = standardization_stats(SEPARABLE, schema.dense_names)
-    X = design_matrix(SEPARABLE, schema, mean, std)
+    mean, std = standardization_stats(SEPARABLE)
+    X = design_matrix(SEPARABLE, mean, std)
     y = label_vector(SEPARABLE, ["neg", "pos"])
     w = np.ones(4)
     loss_plain, grad_plain, _ = loss_and_grad(X, y, w, 0.0, l2=0.0)
@@ -102,21 +102,19 @@ def test_l2_penalty_enters_loss_and_grad():
 
 
 def test_training_separates_separable_data():
-    schema = _schema()
     model = train_logreg(
-        schema, SEPARABLE, SEPARABLE,
+        SEPARABLE, SEPARABLE,
         TrainConfig(learning_rate=0.5, max_epochs=60, patience=0, seed=0),
     )
     predictions = model.predict_labels(SEPARABLE)
-    assert predictions == [r.label for r in SEPARABLE]
+    assert predictions == [r.label for r in SEPARABLE_RECORDS]
     assert model.label_names == ["neg", "pos"]
 
 
 def test_training_is_seed_deterministic():
-    schema = _schema()
     config = TrainConfig(learning_rate=0.2, max_epochs=8, patience=0, seed=5)
-    a = train_logreg(schema, SEPARABLE, SEPARABLE, config)
-    b = train_logreg(schema, SEPARABLE, SEPARABLE, config)
+    a = train_logreg(SEPARABLE, SEPARABLE, config)
+    b = train_logreg(SEPARABLE, SEPARABLE, config)
     assert np.array_equal(a.weights, b.weights)
     assert a.bias == b.bias
     assert [(h.epoch, h.train_loss, h.dev_accuracy) for h in a.history] == [
@@ -125,16 +123,16 @@ def test_training_is_seed_deterministic():
 
 
 def test_training_rejects_single_class():
-    schema = _schema()
-    only_pos = [r for r in SEPARABLE if r.label == "pos"]
+    only_pos = FeatureTable.from_records(
+        _schema(), [r for r in SEPARABLE_RECORDS if r.label == "pos"]
+    )
     with pytest.raises(ValueError, match="single class"):
-        train_logreg(schema, only_pos, only_pos, TrainConfig())
+        train_logreg(only_pos, only_pos, TrainConfig())
 
 
 def test_top_features_ranked_by_magnitude():
-    schema = _schema()
     model = train_logreg(
-        schema, SEPARABLE, SEPARABLE,
+        SEPARABLE, SEPARABLE,
         TrainConfig(learning_rate=0.5, max_epochs=40, patience=0, seed=0),
     )
     tops = model.top_features(2)
@@ -145,9 +143,8 @@ def test_top_features_ranked_by_magnitude():
 
 
 def test_early_stopping_respects_patience():
-    schema = _schema()
     config = TrainConfig(learning_rate=0.5, max_epochs=50, patience=1, seed=0)
-    model = train_logreg(schema, SEPARABLE, SEPARABLE, config)
+    model = train_logreg(SEPARABLE, SEPARABLE, config)
     # Dev accuracy saturates at 1.0 quickly; patience one stops the run
     # on the first epoch that fails to improve.
     assert len(model.history) < 50
