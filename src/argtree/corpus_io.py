@@ -18,10 +18,15 @@ SCHEMA = "argtree/1"
 
 
 class CorpusFormatError(ValueError):
-    """Raised for malformed corpus or outline input; carries a line number."""
+    """Raised for malformed corpus or outline input; carries a line number.
 
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
+    It reads "<source>:<line>: <reason>", or "line <line>: <reason>" when
+    the source is not named.
+    """
+
+    def __init__(self, line_no: int, reason: str, source: Optional[str] = None):
+        where = f"line {line_no}" if source is None else f"{source}:{line_no}"
+        super().__init__(f"{where}: {reason}")
         self.line_no = line_no
         self.reason = reason
 
@@ -49,7 +54,11 @@ def _claim_rows(record: dict, line_no: int) -> list[tuple[str, Optional[str], Op
 
 
 def parse_corpus(stream: IO[str] | Iterable[str]) -> Iterator[ArgumentTree]:
-    """Parse trees from a JSON-lines stream, reporting errors by line."""
+    """Parse trees from a JSON-lines stream, reporting errors by line.
+
+    A topic_id that an earlier line already holds is an error.
+    """
+    first_line: dict[str, int] = {}
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
             continue
@@ -67,9 +76,15 @@ def parse_corpus(stream: IO[str] | Iterable[str]) -> Iterator[ArgumentTree]:
                 raise CorpusFormatError(line_no, f"record missing field {key!r}")
         if not isinstance(record["claims"], list) or not record["claims"]:
             raise CorpusFormatError(line_no, "claims must be a non-empty list")
+        topic_id = str(record["topic_id"])
+        if topic_id in first_line:
+            raise CorpusFormatError(
+                line_no, f"duplicate topic_id {topic_id!r} (first on line {first_line[topic_id]})"
+            )
+        first_line[topic_id] = line_no
         try:
             tree = build_tree(
-                topic_id=str(record["topic_id"]),
+                topic_id=topic_id,
                 claims=_claim_rows(record, line_no),
                 tags=frozenset(str(t) for t in record["tags"]),
             )
@@ -79,8 +94,12 @@ def parse_corpus(stream: IO[str] | Iterable[str]) -> Iterator[ArgumentTree]:
 
 
 def parse_corpus_file(path: str) -> list[ArgumentTree]:
+    """Every tree of a corpus file; an error reads "<path>:<line>: <reason>"."""
     with open(path, encoding="utf-8") as handle:
-        return list(parse_corpus(handle))
+        try:
+            return list(parse_corpus(handle))
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(exc.line_no, exc.reason, source=path) from None
 
 
 def tree_to_record(tree: ArgumentTree) -> dict:

@@ -128,28 +128,37 @@ class Lexicon:
 
 
 def read_lexicon_file(path: str) -> Lexicon:
-    """Tab-separated rows: token, polarity, strong|weak."""
+    """Tab-separated rows: token, polarity, strong|weak.
+
+    A bad row raises located_error: "<path>:<line>: <reason>".
+    """
     entries: dict[str, tuple[float, str]] = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"lexicon line {line_no}: expected 3 tab-separated fields")
-            token, polarity_raw, subjectivity = parts
             try:
-                polarity = float(polarity_raw)
-            except ValueError:
-                raise ValueError(f"lexicon line {line_no}: bad polarity {polarity_raw!r}") from None
-            if not -1.0 <= polarity <= 1.0:
-                raise ValueError(f"lexicon line {line_no}: polarity {polarity} outside [-1, 1]")
-            if subjectivity not in ("strong", "weak"):
-                raise ValueError(
-                    f"lexicon line {line_no}: subjectivity must be strong or weak, got {subjectivity!r}"
-                )
+                token, polarity, subjectivity = _lexicon_row(line)
+            except ValueError as exc:
+                raise located_error(path, line_no, exc) from None
             entries[token] = (polarity, subjectivity)
     return Lexicon(entries=entries)
+
+
+def _lexicon_row(line: str) -> tuple[str, float, str]:
+    parts = line.rstrip("\n").split("\t")
+    if len(parts) != 3:
+        raise ValueError("expected 3 tab-separated fields")
+    token, polarity_raw, subjectivity = parts
+    try:
+        polarity = float(polarity_raw)
+    except ValueError:
+        raise ValueError(f"bad polarity {polarity_raw!r}") from None
+    if not -1.0 <= polarity <= 1.0:
+        raise ValueError(f"polarity {polarity} outside [-1, 1]")
+    if subjectivity not in ("strong", "weak"):
+        raise ValueError(f"subjectivity must be strong or weak, got {subjectivity!r}")
+    return token, polarity, subjectivity
 
 
 @dataclass
@@ -175,7 +184,10 @@ class EmbeddingTable:
 
 
 def read_embeddings_file(path: str) -> EmbeddingTable:
-    """Space-separated rows: token v1 ... vk, constant dimension."""
+    """Space-separated rows: token v1 ... vk, constant dimension.
+
+    A bad row raises located_error: "<path>:<line>: <reason>".
+    """
     vectors: dict[str, np.ndarray] = {}
     dim: Optional[int] = None
     with open(path, encoding="utf-8") as handle:
@@ -184,18 +196,18 @@ def read_embeddings_file(path: str) -> EmbeddingTable:
             if not parts:
                 continue
             token, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise ValueError(f"embeddings line {line_no}: no vector components")
-            elif len(values) != dim:
-                raise ValueError(
-                    f"embeddings line {line_no}: dimension mismatch "
-                    f"(expected {dim}, got {len(values)})"
-                )
-            vectors[token] = np.array([float(v) for v in values])
+            try:
+                if dim is None:
+                    dim = len(values)
+                    if dim == 0:
+                        raise ValueError("no vector components")
+                elif len(values) != dim:
+                    raise ValueError(f"dimension mismatch (expected {dim}, got {len(values)})")
+                vectors[token] = np.array([float(v) for v in values])
+            except ValueError as exc:
+                raise located_error(path, line_no, exc) from None
     if dim is None:
-        raise ValueError("empty embeddings file")
+        raise located_error(path, None, ValueError("empty embeddings file"))
     return EmbeddingTable(vectors=vectors, dim=dim)
 
 

@@ -183,8 +183,6 @@ def load_model(path: str) -> AnyModel:
     CheckpointFormatError that names the file and the entry.
     """
     kind, seed, blocks, meta = read_checkpoint(path)
-    if not isinstance(meta, dict):
-        raise CheckpointFormatError(f"{path}: [meta] is not a JSON object")
     try:
         return _model_from(kind, seed, _Entries("block", blocks), _Entries("meta key", meta))
     except CheckpointFormatError as exc:

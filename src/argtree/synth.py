@@ -224,7 +224,8 @@ def _generate_tree(
     counter = 1
     lengths_up: dict[str, list[int]] = {"c0": [root_len]}
 
-    def grow(parent: _NodeDraft, ancestor_lengths: list[int]) -> None:
+    def children(parent: _NodeDraft, ancestor_lengths: list[int]):
+        """Draw each child of parent in turn; yields (child, its ancestors' lengths)."""
         nonlocal counter
         if parent.depth >= target_depth:
             return
@@ -282,9 +283,17 @@ def _generate_tree(
                     outcome["equal"] += 1
                 else:
                     outcome["shorter"] += 1
-            grow(child, ancestor_lengths + [length])
+            yield child, ancestor_lengths + [length]
 
-    grow(root, [root_len])
+    # Depth first with an explicit stack: a child's subtree is drawn before
+    # its next sibling, the rng order of the recursive walk, at any depth.
+    stack = [children(root, [root_len])]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+        else:
+            stack.append(children(*step))
 
     for draft in drafts:
         counts["nodes"] += 1
@@ -314,20 +323,26 @@ def generate_corpus(config: SynthConfig) -> tuple[list[ArgumentTree], Generation
 
 
 def stance_oracle(tree: ArgumentTree, ancestor_id: str, descendant_id: str) -> StanceLabel:
-    """Recursive stance composition, independent of the parity shortcut.
+    """Stance composition edge by edge, independent of the parity shortcut.
 
-    Distance one returns the edge itself; otherwise a pro edge preserves
-    and a con edge flips the stance of the parent toward the ancestor.
+    The edge just below the ancestor gives the stance; going down from it,
+    a pro edge preserves and a con edge flips the stance of the parent
+    toward the ancestor. The path is walked with a loop, so any depth works.
     """
-    node = tree.node(descendant_id)
-    if node.parent is None:
-        raise ValueError(f"{descendant_id!r} has no ancestors")
-    edge = node.stance_to_parent
-    if edge is None:
-        raise ValueError(f"missing stance on {descendant_id!r}")
-    if node.parent == ancestor_id:
-        return StanceLabel.SUPPORTS if edge is StanceEdge.PRO else StanceLabel.OPPOSES
-    upstream = stance_oracle(tree, ancestor_id, node.parent)
-    if edge is StanceEdge.PRO:
-        return upstream
-    return StanceLabel.OPPOSES if upstream is StanceLabel.SUPPORTS else StanceLabel.SUPPORTS
+    edges: list[StanceEdge] = []
+    node_id = descendant_id
+    while True:
+        node = tree.node(node_id)
+        if node.parent is None:
+            raise ValueError(f"{node_id!r} has no ancestors")
+        if node.stance_to_parent is None:
+            raise ValueError(f"missing stance on {node_id!r}")
+        edges.append(node.stance_to_parent)
+        if node.parent == ancestor_id:
+            break
+        node_id = node.parent
+    stance = StanceLabel.SUPPORTS if edges.pop() is StanceEdge.PRO else StanceLabel.OPPOSES
+    for edge in reversed(edges):
+        if edge is StanceEdge.CON:
+            stance = StanceLabel.OPPOSES if stance is StanceLabel.SUPPORTS else StanceLabel.SUPPORTS
+    return stance

@@ -351,6 +351,7 @@ def test_criterion_5_planted_length_signal(length_run, capsys):
 # Criterion 6 — path context is required and sufficient at distance >= 2.
 
 
+@pytest.mark.slow
 def test_criterion_6_path_context_helps_stance(marker_run, capsys):
     reports = marker_run["reports"]
     counts = marker_run["counts"]
@@ -399,6 +400,7 @@ def test_criterion_6_path_context_helps_stance(marker_run, capsys):
 # per-distance accuracy is just the label mix of each bucket).
 
 
+@pytest.mark.slow
 def test_criterion_7_stance_degrades_with_distance(marker_run, capsys):
     reports = marker_run["reports"]
     problems = []
@@ -428,6 +430,7 @@ def _checkpoint_text(model) -> str:
     return buffer.getvalue()
 
 
+@pytest.mark.slow
 def test_criterion_8_deterministic_training(capsys):
     config = SynthConfig(
         topic_count=30,
@@ -529,6 +532,7 @@ def test_criterion_9_real_corpus_statistics(capsys):
 # at distance 1 (the signal itself is 0.95-reliable by construction).
 
 
+@pytest.mark.slow
 def test_example_marker_corpus_distance_1(capsys):
     config = SynthConfig(
         topic_count=600,

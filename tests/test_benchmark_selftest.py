@@ -14,9 +14,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+@pytest.mark.slow
 def test_benchmark_selftest_passes():
     result = subprocess.run(
         [sys.executable, os.path.join("benchmark", "selftest.py")],

@@ -325,6 +325,20 @@ def test_malformed_corpus_exits_one(tmp_path):
     assert main(["validate", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "split", "stats"])
+def test_repeated_topic_id_is_one_located_error(pipeline, tmp_path, capsys, command):
+    first = pipeline["corpus"].read_text(encoding="utf-8").splitlines()[0]
+    path = tmp_path / "twice.jsonl"
+    path.write_text(f"{first}\n{first}\n", encoding="utf-8")
+    topic_id = json.loads(first)["topic_id"]
+    capsys.readouterr()
+    extra = [] if command == "validate" else ["-o", str(tmp_path / "out")]
+    code = main([command, str(path), *extra])
+    assert f"duplicate topic_id {topic_id!r} (first on line 1)" in _one_located_error(
+        capsys, code, path, 2
+    )
+
+
 def test_corpus_violations_exit_one(tmp_path, capsys):
     bad = tmp_path / "violations.jsonl"
     record = {
@@ -520,6 +534,38 @@ def test_bad_vocabulary_file_is_one_file_error(pipeline, tmp_path, capsys, conte
 
 
 @pytest.mark.parametrize(
+    "flag, content, line_no, reason",
+    [
+        ("--lexicon", "good\t0.5\tstrong\nbad\t-0.5\n", 2, "expected 3 tab-separated fields"),
+        ("--lexicon", "good\tx\tstrong\n", 1, "bad polarity 'x'"),
+        ("--lexicon", "good\t2.0\tstrong\n", 1, "polarity 2.0 outside [-1, 1]"),
+        ("--lexicon", "good\t0.5\tloud\n", 1, "subjectivity must be strong or weak"),
+        ("--embeddings", "good 0.5 x\n", 1, "could not convert string to float: 'x'"),
+        ("--embeddings", "good 0.5 1.0\n\nbad 0.5\n", 3, "dimension mismatch (expected 2, got 1)"),
+        ("--embeddings", "good\n", 1, "no vector components"),
+        ("--embeddings", "\n", None, "empty embeddings file"),
+    ],
+    ids=["lexicon-fields", "lexicon-polarity", "lexicon-range", "lexicon-subjectivity",
+         "embeddings-float", "embeddings-dimension", "embeddings-no-components", "embeddings-empty"],
+)
+def test_bad_lexicon_or_embeddings_row_is_one_located_error(
+    pipeline, tmp_path, capsys, flag, content, line_no, reason
+):
+    path = tmp_path / "resource.txt"
+    path.write_text(content, encoding="utf-8")
+    capsys.readouterr()
+    code = main([
+        "featurize", str(pipeline["stance_pairs"]), "--task", "stance", flag, str(path),
+        "--vocab", str(tmp_path / "vocab.json"), "-o", str(tmp_path / "f.jsonl"),
+    ])
+    if line_no is None:
+        message = _one_file_error(capsys, code, path)
+    else:
+        message = _one_located_error(capsys, code, path, line_no)
+    assert reason in message
+
+
+@pytest.mark.parametrize(
     "edit, reason",
     [
         (lambda record: {k: v for k, v in record.items() if k != "train"}, "missing field 'train'"),
@@ -552,6 +598,39 @@ def test_checkpoint_without_a_block_is_one_file_error(pipeline, tmp_path, capsys
         "-o", str(tmp_path / "e.csv"),
     ])
     assert "'dense_std'" in _one_file_error(capsys, code, path)
+
+
+@pytest.mark.parametrize(
+    "line_no, edit, reason",
+    [
+        (-1, lambda line: '{"task": ', "invalid JSON in [meta] (Expecting value)"),
+        (-1, lambda line: "[1, 2]", "[meta] is not a JSON object"),
+        (-2, lambda line: "[Meta]", "unexpected line '[Meta]'"),
+        (2, lambda line: "[block w x 2]", "bad block header '[block w x 2]'"),
+        (1, lambda line: line.rsplit(" ", 1)[0], "bad checkpoint header"),
+        (3, lambda line: line + " 1.0", "row 0: expected"),
+        (3, lambda line: "1.0x" + line[line.index(" "):], "could not convert string '1.0x'"),
+        (3, None, "block 'weights' is truncated: 0 of 1 rows"),
+    ],
+    ids=["meta-not-json", "meta-not-object", "no-meta", "block-header", "header", "long-row",
+         "bad-float", "truncated"],
+)
+def test_malformed_checkpoint_line_is_one_located_error(pipeline, tmp_path, capsys, line_no, edit, reason):
+    lines = pipeline["logreg_ckpt"].read_text(encoding="utf-8").splitlines()
+    line_no = line_no if line_no > 0 else len(lines) + 1 + line_no
+    if edit is None:
+        lines = lines[: line_no - 1]
+        line_no -= 1  # the block header that promised the missing row
+    else:
+        lines[line_no - 1] = edit(lines[line_no - 1])
+    path = tmp_path / "logreg.ckpt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main([
+        "evaluate", "--model", str(path), "--test", str(pipeline["specificity_features"]),
+        "-o", str(tmp_path / "e.csv"),
+    ])
+    assert reason in _one_located_error(capsys, code, path, line_no)
 
 
 def _count_calls(monkeypatch, module, name) -> list:
@@ -668,6 +747,7 @@ min_count = 1
 """
 
 
+@pytest.mark.slow
 def test_hier_checkpoint_is_identical_across_blas_thread_counts(pipeline, tmp_path):
     """The batched kernels' matmuls are large enough for OpenBLAS to thread."""
     config = tmp_path / "hier.conf"

@@ -61,6 +61,23 @@ def test_parse_reports_line_number_for_bad_json(uniform_tree):
     assert "invalid JSON" in str(err.value)
 
 
+def test_parse_rejects_a_repeated_topic_id(uniform_tree):
+    line = json.dumps(tree_to_record(uniform_tree))
+    with pytest.raises(CorpusFormatError) as err:
+        list(parse_corpus(io.StringIO(f"{line}\n\n{line}\n")))
+    assert err.value.line_no == 3
+    assert str(err.value) == f"line 3: duplicate topic_id {uniform_tree.topic_id!r} (first on line 1)"
+
+
+def test_file_errors_name_the_path(tmp_path, uniform_tree):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(tree_to_record(uniform_tree)) + "\n{oops\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as err:
+        parse_corpus_file(str(path))
+    assert str(err.value) == f"{path}:2: invalid JSON (Expecting property name enclosed in double quotes)"
+    assert err.value.line_no == 2
+
+
 def test_parse_rejects_wrong_schema(uniform_tree):
     record = tree_to_record(uniform_tree)
     record["schema"] = "argtree/999"

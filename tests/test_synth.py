@@ -18,7 +18,7 @@ from argtree.synth import (
     stance_oracle,
 )
 from argtree.text import tokenize
-from argtree.trees import StanceEdge, node_depth, validate_tree
+from argtree.trees import StanceEdge, build_tree, node_depth, validate_tree
 
 
 SMALL = SynthConfig(topic_count=12, branch_min=2, branch_max=3, depth_min=3, depth_max=4, seed=42)
@@ -210,3 +210,34 @@ def test_stance_oracle_hand_cases(uniform_tree):
     assert stance_oracle(uniform_tree, "c0", "c6") is StanceLabel.OPPOSES
     with pytest.raises(ValueError):
         stance_oracle(uniform_tree, "c5", "c0")
+
+
+DEEP = 3000  # well past Python's default recursion limit of 1000
+
+
+def test_stance_oracle_walks_a_deep_chain():
+    edges = [StanceEdge.CON if (i * 7) % 5 < 2 else StanceEdge.PRO for i in range(DEEP)]
+    claims = [("c0", None, None, "Root?")] + [
+        (f"c{i + 1}", f"c{i}", edge, f"claim {i + 1}.") for i, edge in enumerate(edges)
+    ]
+    tree = build_tree(topic_id="deep", claims=claims)
+    for ancestor, descendant in (("c0", f"c{DEEP}"), ("c0", "c1"), ("c17", "c2950")):
+        start, end = int(ancestor[1:]), int(descendant[1:])
+        cons = sum(edge is StanceEdge.CON for edge in edges[start:end])
+        want = StanceLabel.SUPPORTS if cons % 2 == 0 else StanceLabel.OPPOSES
+        assert stance_oracle(tree, ancestor, descendant) is want
+    with pytest.raises(ValueError, match="'c0' has no ancestors"):
+        stance_oracle(tree, f"c{DEEP}", "c5")
+
+
+def test_generator_grows_a_deep_chain():
+    # Without length_signal_p=0 each claim outgrows its parent and texts
+    # reach thousands of tokens; the walk itself is what is tested here.
+    config = SynthConfig(
+        topic_count=1, branch_min=1, branch_max=1, depth_min=DEEP, depth_max=DEEP,
+        length_signal_p=0.0,
+    )
+    (tree,), ledger = generate_corpus(config)
+    assert len(tree.nodes) == DEEP + 1
+    assert node_depth(tree, f"c{DEEP}") == DEEP
+    assert validate_tree(tree) == []
