@@ -69,6 +69,7 @@ from .pairs import (
     derive_specificity_examples,
     derive_stance_examples,
     located_error,
+    open_text,
     read_pairs_file,
     read_split_file,
     split_by_topic,
@@ -220,7 +221,7 @@ def _read_pairs_with_task(path: str) -> tuple[str, list]:
 
 def _detect_dataset_kind(path: str) -> str:
     """'features' for feature files, 'pairs' for derived-pair files."""
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -322,8 +323,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_import_outline(args: argparse.Namespace) -> int:
     tags = frozenset(t for t in (args.tags.split(",") if args.tags else []) if t)
-    with open(args.file, encoding="utf-8") as handle:
-        tree = corpus_io.import_outline(handle, topic_id=args.topic_id, tags=tags)
+    tree = corpus_io.import_outline_file(args.file, topic_id=args.topic_id, tags=tags)
     _atomic_write(args.out, lambda handle: corpus_io.write_corpus([tree], handle))
     _log(f"import-outline: wrote 1 tree ({len(tree.nodes)} claims) to {args.out}")
     return 0
@@ -678,18 +678,24 @@ def cmd_significance(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     kinds = [args.model] if args.model else ["logreg", "pair", "path-flat", "path-hier"]
+    # path-hier runs a second fixture of one-edge paths, where no GRU step
+    # carries a state
+    checks = [(kind, False) for kind in kinds]
+    if "path-hier" in kinds:
+        checks.append(("path-hier", True))
     failures = 0
-    for kind in kinds:
+    for kind, one_edge in checks:
         if kind == "logreg":
             result = gradcheck_logreg(seed=args.seed or 0)
             tolerance = LOGREG_TOLERANCE
         else:
-            result = gradcheck_neural(kind, seed=args.seed or 0)
+            result = gradcheck_neural(kind, seed=args.seed or 0, one_edge=one_edge)
             tolerance = NEURAL_TOLERANCE
         ok = result.max_rel_error < tolerance
         status = "ok" if ok else "FAIL"
+        label = f"{kind} (one-edge paths)" if one_edge else kind
         print(
-            f"{kind}: max rel error {result.max_rel_error:.3e} "
+            f"{label}: max rel error {result.max_rel_error:.3e} "
             f"(tolerance {tolerance:.0e}, {result.parameter_count} params, "
             f"worst {result.worst_block}) {status}"
         )

@@ -12,6 +12,7 @@ import json
 import re
 from typing import IO, Iterable, Iterator, Optional
 
+from .pairs import open_text
 from .trees import ArgumentTree, StanceEdge, build_tree, iter_preorder
 
 SCHEMA = "argtree/1"
@@ -21,12 +22,16 @@ class CorpusFormatError(ValueError):
     """Raised for malformed corpus or outline input; carries a line number.
 
     It reads "<source>:<line>: <reason>", or "line <line>: <reason>" when
-    the source is not named.
+    the source is not named. An error of the whole input has no line:
+    "<source>: <reason>", or the bare reason.
     """
 
-    def __init__(self, line_no: int, reason: str, source: Optional[str] = None):
-        where = f"line {line_no}" if source is None else f"{source}:{line_no}"
-        super().__init__(f"{where}: {reason}")
+    def __init__(self, line_no: Optional[int], reason: str, source: Optional[str] = None):
+        if line_no is None:
+            where = source
+        else:
+            where = f"line {line_no}" if source is None else f"{source}:{line_no}"
+        super().__init__(reason if where is None else f"{where}: {reason}")
         self.line_no = line_no
         self.reason = reason
 
@@ -95,7 +100,7 @@ def parse_corpus(stream: IO[str] | Iterable[str]) -> Iterator[ArgumentTree]:
 
 def parse_corpus_file(path: str) -> list[ArgumentTree]:
     """Every tree of a corpus file; an error reads "<path>:<line>: <reason>"."""
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         try:
             return list(parse_corpus(handle))
         except CorpusFormatError as exc:
@@ -176,10 +181,14 @@ def import_outline(lines: Iterable[str], topic_id: str, tags: frozenset[str] = f
             claims.append((number, parent, stance, stance_match.group(2)))
         seen.add(number)
     if not claims:
-        raise CorpusFormatError(0, "empty outline")
+        raise CorpusFormatError(None, "empty outline")
     return build_tree(topic_id=topic_id, claims=claims, tags=tags)
 
 
 def import_outline_file(path: str, topic_id: str, tags: frozenset[str] = frozenset()) -> ArgumentTree:
-    with open(path, encoding="utf-8") as handle:
-        return import_outline(handle, topic_id=topic_id, tags=tags)
+    """The outline file's tree; an error reads "<path>:<line>: <reason>"."""
+    with open_text(path) as handle:
+        try:
+            return import_outline(handle, topic_id=topic_id, tags=tags)
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(exc.line_no, exc.reason, source=path) from None

@@ -19,7 +19,7 @@ from typing import IO, Iterable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .pairs import SpecificityExample, StanceExample, located_error
+from .pairs import SpecificityExample, StanceExample, located_error, open_text
 from .text import tokenize
 
 PERSONAL_PRONOUNS = frozenset(
@@ -92,9 +92,10 @@ def write_vocabulary_file(vocab: Vocabulary, path: str) -> None:
 
 def read_vocabulary_file(path: str) -> Vocabulary:
     """Every format error is one ValueError naming the file."""
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
+        text = handle.read()
         try:
-            record = json.load(handle)
+            record = json.loads(text)
             if not isinstance(record, dict):
                 raise ValueError("expected a JSON object")
             if record.get("schema") != VOCAB_SCHEMA:
@@ -133,7 +134,7 @@ def read_lexicon_file(path: str) -> Lexicon:
     A bad row raises located_error: "<path>:<line>: <reason>".
     """
     entries: dict[str, tuple[float, str]] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -190,7 +191,7 @@ def read_embeddings_file(path: str) -> EmbeddingTable:
     """
     vectors: dict[str, np.ndarray] = {}
     dim: Optional[int] = None
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             parts = line.split()
             if not parts:
@@ -768,7 +769,7 @@ def read_features_file(path: str) -> FeatureTable:
 
     Every format error is one ValueError naming the file and line.
     """
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         header_line = handle.readline()
         if not header_line.strip():
             raise ValueError(f"empty features file {path!r}")

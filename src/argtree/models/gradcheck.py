@@ -13,15 +13,19 @@ from typing import Sequence
 import numpy as np
 
 from ..features import FeatureRecord, FeatureSchema, FeatureTable
+from ..pairs import StanceExample, derive_stance_label
+from ..trees import StanceEdge
 from .config import EncoderConfig
-from .encoder import EncoderVocab, pack_pair, pack_path_flat, pack_path_pairs
+from .encoder import EncoderVocab
 from .logreg import design_matrix, label_vector, loss_and_grad
 from .neural import (
     NeuralParams,
     PackedExample,
     batch_loss_and_grads,
     dataset_loss,
+    inference_chunks,
     init_params,
+    pack_dataset,
 )
 
 EPSILON = 1e-5
@@ -108,36 +112,59 @@ _FIXTURE_TEXTS = [
 ]
 
 
+def _pack_paths(
+    kind: str,
+    paths: Sequence[Sequence[str]],
+    opposes: Sequence[bool],
+    vocab: EncoderVocab,
+    config: EncoderConfig,
+) -> list[PackedExample]:
+    """Stance examples along `paths`, packed; an opposing path's first edge is con."""
+    examples = []
+    for texts, con in zip(paths, opposes):
+        edges = [StanceEdge.CON if con else StanceEdge.PRO] + [StanceEdge.PRO] * (len(texts) - 2)
+        examples.append(
+            StanceExample(
+                topic_id="fixture",
+                a_id="a",
+                b_id="b",
+                distance=len(edges),
+                path_texts=list(texts),
+                path_edges=edges,
+                label=derive_stance_label(edges),
+                same_stance=None,
+            )
+        )
+    return pack_dataset(kind, examples, vocab, config, ["opposes", "supports"])
+
+
 def _fixture_batch(kind: str, vocab: EncoderVocab, config: EncoderConfig) -> list[PackedExample]:
-    """Three examples; the third repeats a sequence of the first two.
+    """Three paths; the third repeats a sequence of the first two.
 
     For path-hier the paths hold 2, 3 and 1 edges, and the single edge of
     the third is the last edge of the second, so the fixture covers paths
     of different lengths, the longest-first reordering of the batch and,
-    with a shared encoder, one edge encoded once for two paths.
+    with a shared encoder, one edge encoded once for two paths. The pair
+    model reads (descendant, ancestor), so its paths run backward through
+    the texts.
     """
     texts = _FIXTURE_TEXTS
-    if kind == "pair":
-        sequences = [
-            [pack_pair(vocab, texts[0], texts[1], config.truncate)],
-            [pack_pair(vocab, texts[2], texts[3], config.truncate)],
-            [pack_pair(vocab, texts[0], texts[1], config.truncate)],
-        ]
-    elif kind == "path-flat":
-        sequences = [
-            [pack_path_flat(vocab, texts[:3], config.truncate)],
-            [pack_path_flat(vocab, texts[1:], config.truncate)],
-            [pack_path_flat(vocab, texts[:3], config.truncate)],
-        ]
-    else:
-        sequences = [
-            pack_path_pairs(vocab, path, config.truncate, config.pair_order)
-            for path in (texts[:3], texts, texts[2:])
-        ]
-    return [
-        PackedExample(sequences=seqs, label_index=label)
-        for seqs, label in zip(sequences, (0, 1, 1))
-    ]
+    paths = {
+        "pair": [texts[1::-1], texts[3:1:-1], texts[1::-1]],
+        "path-flat": [texts[:3], texts[1:], texts[:3]],
+        "path-hier": [texts[:3], texts, texts[2:]],
+    }[kind]
+    return _pack_paths(kind, paths, (True, False, False), vocab, config)
+
+
+def _one_edge_batch(vocab: EncoderVocab, config: EncoderConfig) -> list[PackedExample]:
+    """Four one-edge paths for path-hier, the fourth repeating the first.
+
+    No GRU step carries a state, so the GRU skips its recurrent gradients.
+    """
+    texts = _FIXTURE_TEXTS
+    paths = [texts[0:2], texts[1:3], texts[2:4], texts[0:2]]
+    return _pack_paths("path-hier", paths, (True, False, True, True), vocab, config)
 
 
 def gradcheck_neural(
@@ -145,7 +172,10 @@ def gradcheck_neural(
     seed: int = 0,
     epsilon: float = EPSILON,
     share_encoder: bool = True,
+    one_edge: bool = False,
 ) -> GradCheckResult:
+    """Gradients of `kind` on its fixture; one_edge picks the path-hier
+    fixture whose paths are all one edge long."""
     config = EncoderConfig(
         dim=5,
         hidden=4,
@@ -156,7 +186,13 @@ def gradcheck_neural(
     )
     vocab = EncoderVocab(tokens=["alpha", "beta", "gamma", "delta", "epsilon"])
     params = init_params(kind, vocab.size, config, seed)
-    return gradcheck_batch(kind, params, _fixture_batch(kind, vocab, config), epsilon=epsilon)
+    if one_edge:
+        if kind != "path-hier":
+            raise ValueError("the one-edge fixture is a path-hier fixture")
+        batch = _one_edge_batch(vocab, config)
+    else:
+        batch = _fixture_batch(kind, vocab, config)
+    return gradcheck_batch(kind, params, batch, epsilon=epsilon)
 
 
 def gradcheck_batch(
@@ -169,6 +205,7 @@ def gradcheck_batch(
     """Central differences of dataset_loss against batch_loss_and_grads on `batch`."""
     _, grads = batch_loss_and_grads(kind, params, batch, l2)
     grad_blocks = grads.blocks()
+    chunks = list(inference_chunks(params, batch))
     max_error = 0.0
     worst = ""
     for name, block in params.blocks().items():
@@ -178,9 +215,9 @@ def gradcheck_batch(
             index = iterator.multi_index
             original = block[index]
             block[index] = original + epsilon
-            loss_plus = dataset_loss(kind, params, batch, l2)
+            loss_plus = dataset_loss(kind, params, batch, l2, chunks)
             block[index] = original - epsilon
-            loss_minus = dataset_loss(kind, params, batch, l2)
+            loss_minus = dataset_loss(kind, params, batch, l2, chunks)
             block[index] = original
             numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
             error = _relative_error(float(gblock[index]), numeric)

@@ -13,6 +13,19 @@ per gate over the sequences still running. The input products W x are
 computed for all steps in one matmul per gate, and the weight gradients
 are summed with one matmul per block after the backward scan.
 
+Terms that are exact zeros are not computed. The first step of a scan
+starts every running sequence from the zero state, so it skips the three
+recurrent products: z, r and c come from W x + b alone and h = z * c. The
+backward pass walks that step last and needs no gradient for the fixed
+zero state: it skips the U_h product and the carry, and sets the step's r
+gradient (a multiple of the zero state) to 0. When every sequence is one
+step long no step carries a state, so the U_z, U_r, U_h, W_r and b_r
+gradients and the input gradient through W_r would only add zeros, and
+they are skipped. For finite weights every skipped term is +-0, and adding
++-0 to a nonzero float leaves its bits unchanged (a result that is itself
+zero could at most change sign), so states and gradients keep the bits of
+the full recurrence.
+
 The bidirectional wrapper runs an independently parameterized copy from
 each sequence's last position down to position 0 and reports its states
 aligned to input positions, so the backward state at position 0 is the
@@ -129,7 +142,13 @@ def gru_forward(params: GRUParams, steps: PackedSteps, reverse: bool = False) ->
     c = np.empty_like(prev)
     h = np.empty_like(prev)
     state = np.zeros((len(steps.lengths), hidden))
-    for rows, n in _scan(steps, reverse):
+    (rows, n), *rest = _scan(steps, reverse)
+    prev[rows] = 0.0
+    z[rows] = _sigmoid(wz[rows])
+    r[rows] = _sigmoid(wr[rows])
+    c[rows] = np.tanh(wh[rows])
+    h[rows] = state[:n] = z[rows] * c[rows]
+    for rows, n in rest:
         prev[rows] = state[:n]
         p = prev[rows]
         z[rows] = _sigmoid(wz[rows] + p @ params.u_z.T)
@@ -146,14 +165,16 @@ def gru_backward(
 
     dh holds the externally supplied gradient at every real step, packed
     like the inputs; recurrent contributions are added while walking the
-    scan backward.
+    scan backward. The last step walked, which started from the zero
+    state, carries nothing further.
     """
     prev, z, r, c = cache.prev, cache.z, cache.r, cache.c
     da_z = np.empty_like(prev)  # gradients of the gate pre-activations
     da_r = np.empty_like(prev)
     da_c = np.empty_like(prev)
     carry = np.zeros((len(cache.steps.lengths), params.hidden))
-    for rows, n in _scan(cache.steps, not cache.reverse):
+    *carrying, (first, first_n) = _scan(cache.steps, not cache.reverse)
+    for rows, n in carrying:
         g = dh[rows] + carry[:n]
         zt, rt, ct, pt = z[rows], r[rows], c[rows], prev[rows]
         da_c[rows] = g * zt * (1.0 - ct * ct)
@@ -163,18 +184,27 @@ def gru_backward(
         carry[:n] = (
             g * (1.0 - zt) + d_rh * rt + da_r[rows] @ params.u_r + da_z[rows] @ params.u_z
         )
+    # The scan's first step, walked last, started from the fixed zero state.
+    g = dh[first] + carry[:first_n]
+    zt, ct = z[first], c[first]
+    da_c[first] = g * zt * (1.0 - ct * ct)
+    da_r[first] = 0.0
+    da_z[first] = g * ct * zt * (1.0 - zt)
 
     xs = cache.steps.values
     grads.w_z += da_z.T @ xs
-    grads.w_r += da_r.T @ xs
     grads.w_h += da_c.T @ xs
-    grads.u_z += da_z.T @ prev
-    grads.u_r += da_r.T @ prev
-    grads.u_h += da_c.T @ (r * prev)
     grads.b_z += da_z.sum(axis=0)
-    grads.b_r += da_r.sum(axis=0)
     grads.b_h += da_c.sum(axis=0)
-    return da_z @ params.w_z + da_r @ params.w_r + da_c @ params.w_h
+    dx = da_z @ params.w_z
+    if carrying:
+        grads.w_r += da_r.T @ xs
+        grads.u_z += da_z.T @ prev
+        grads.u_r += da_r.T @ prev
+        grads.u_h += da_c.T @ (r * prev)
+        grads.b_r += da_r.sum(axis=0)
+        dx += da_r @ params.w_r
+    return dx + da_c @ params.w_h
 
 
 @dataclass

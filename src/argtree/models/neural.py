@@ -15,7 +15,9 @@ Three model kinds share one training loop:
 
 Every forward and backward pass runs a whole minibatch at once (see
 Batch); dataset_loss and predict_packed run chunks of INFERENCE_CHUNK
-examples the same way. In a batch each distinct packed sequence is
+examples the same way, and train_neural lays its train and dev chunks out
+once for all epochs. pack_dataset packs each distinct edge or path once
+and keys it with an integer id. In a batch each distinct packed sequence is
 encoded once per encoder that reads it, and its gradient is the sum over
 the places that read it.
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,7 +57,7 @@ from .encoder import (
     encode_backward,
     pack_pair,
     pack_path_flat,
-    pack_path_pairs,
+    pack_path_pairs,  # noqa: F401  (benchmark/tracing.py wraps the packers by these names)
 )
 from .gru import (
     GRU_BLOCK_NAMES,
@@ -174,7 +176,15 @@ def init_params(
 
 @dataclass
 class PackedExample:
+    """An example's packed sequences, in reading order, and its label.
+
+    `keys` holds one integer per sequence. Within the dataset the example
+    was packed with, two sequences share a key iff their token ids and
+    segments are equal.
+    """
+
     sequences: list[tuple[np.ndarray, np.ndarray]]
+    keys: list[int]
     label_index: int
 
 
@@ -184,21 +194,27 @@ def example_texts(example: Example) -> list[str]:
     return list(example.path_texts)
 
 
-def example_sequences(
-    kind: str, example: Example, vocab: EncoderVocab, config: EncoderConfig
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def _sequence_texts(kind: str, example: Example, pair_order: str) -> list[tuple[str, ...]]:
+    """The claim texts of each sequence the model reads, in reading order.
+
+    pair and path-hier sequences are pairs packed by pack_pair (path-hier
+    reads each (parent, child) edge, as pack_path_pairs orders them), and
+    the path-flat sequence is the whole path packed by pack_path_flat.
+    """
     if isinstance(example, SpecificityExample):
         if kind != "pair":
             raise ValueError("path models need path examples, not claim pairs")
-        return [pack_pair(vocab, example.first_text, example.second_text, config.truncate)]
+        return [(example.first_text, example.second_text)]
+    texts = example.path_texts
     if kind == "pair":
-        return [
-            pack_pair(vocab, example.path_texts[-1], example.path_texts[0], config.truncate)
-        ]
+        return [(texts[-1], texts[0])]
     if kind == "path-flat":
-        return [pack_path_flat(vocab, example.path_texts, config.truncate)]
+        return [tuple(texts)]
     if kind == "path-hier":
-        return pack_path_pairs(vocab, example.path_texts, config.truncate, config.pair_order)
+        if len(texts) < 2:
+            raise ValueError("path must contain at least two claims")
+        edges = list(zip(texts, texts[1:]))
+        return edges[::-1] if pair_order == "bottom_up" else edges
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -209,15 +225,35 @@ def pack_dataset(
     config: EncoderConfig,
     label_names: Sequence[str],
 ) -> list[PackedExample]:
+    """Pack each distinct edge or path of the examples once.
+
+    Repeated texts share one packed sequence, keyed by the bytes of its
+    token ids and segments, so texts that pack alike (unknown tokens map
+    to PAD, truncation cuts claims) share a key as well.
+    """
     index = {name: i for i, name in enumerate(label_names)}
+    by_texts: dict[tuple[str, ...], tuple[int, tuple[np.ndarray, np.ndarray]]] = {}
+    by_bytes: dict[bytes, int] = {}
     packed = []
     for example in examples:
         label = example.label.value
         if label not in index:
             raise ValueError(f"unknown label {label!r}")
+        units = []
+        for texts in _sequence_texts(kind, example, config.pair_order):
+            unit = by_texts.get(texts)
+            if unit is None:
+                if kind == "path-flat":
+                    ids, segments = pack_path_flat(vocab, texts, config.truncate)
+                else:
+                    ids, segments = pack_pair(vocab, texts[0], texts[1], config.truncate)
+                key = by_bytes.setdefault(ids.tobytes() + segments.tobytes(), len(by_bytes))
+                unit = by_texts[texts] = (key, (ids, segments))
+            units.append(unit)
         packed.append(
             PackedExample(
-                sequences=example_sequences(kind, example, vocab, config),
+                sequences=[sequence for _, sequence in units],
+                keys=[key for key, _ in units],
                 label_index=index[label],
             )
         )
@@ -253,7 +289,7 @@ def make_batch(params: NeuralParams, packed: Sequence[PackedExample]) -> Batch:
     lengths = np.array([len(example.sequences) for example in packed], dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
     ordered = [packed[i] for i in order]
-    rows: list[dict[bytes, int]] = [{} for _ in params.encoders]
+    rows: list[dict[int, int]] = [{} for _ in params.encoders]
     sequences: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in params.encoders]
     keys: list[tuple[int, int]] = []
     for t in range(lengths.max()):
@@ -261,12 +297,11 @@ def make_batch(params: NeuralParams, packed: Sequence[PackedExample]) -> Batch:
         for example in ordered:
             if len(example.sequences) <= t:
                 break
-            ids, segments = example.sequences[t]
-            key = ids.tobytes() + segments.tobytes()
+            key = example.keys[t]
             row = rows[encoder].get(key)
             if row is None:
                 row = rows[encoder][key] = len(sequences[encoder])
-                sequences[encoder].append((ids, segments))
+                sequences[encoder].append(example.sequences[t])
             keys.append((encoder, row))
     offsets = np.cumsum([0] + [len(seqs) for seqs in sequences])
     return Batch(
@@ -355,10 +390,23 @@ def _l2_penalty(params: NeuralParams, l2: float) -> float:
 
 
 def batch_loss_and_grads(
-    kind: str, params: NeuralParams, batch: Sequence[PackedExample], l2: float
-) -> tuple[float, NeuralParams]:
-    """Mean cross-entropy over the batch plus L2 on 2-D blocks."""
-    grads = params.zeros_like()
+    kind: str,
+    params: NeuralParams,
+    batch: Sequence[PackedExample],
+    l2: float,
+    grads: Optional[NeuralParams] = None,
+) -> tuple[Optional[float], NeuralParams]:
+    """Mean cross-entropy over the batch plus L2 on 2-D blocks, and its gradients.
+
+    Given `grads`, the gradients overwrite it and the loss is not computed
+    (None): the training loop reuses one buffer and reads only gradients.
+    """
+    want_loss = grads is None
+    if grads is None:
+        grads = params.zeros_like()
+    else:
+        for gblock in grads.blocks().values():
+            gblock.fill(0.0)
     laid_out = make_batch(params, batch)
     cache = forward_batch(kind, params, laid_out)
     backward_batch(kind, params, laid_out, cache, grads)
@@ -367,24 +415,45 @@ def batch_loss_and_grads(
         for name, gblock in grads.blocks().items():
             if gblock.ndim == 2:
                 gblock += l2 * param_blocks[name]
+    if not want_loss:
+        return None, grads
     data_loss = _cross_entropy_sum(cache, laid_out.labels) / len(batch)
     return data_loss + _l2_penalty(params, l2), grads
 
 
+def inference_chunks(params: NeuralParams, packed: Sequence[PackedExample]) -> Iterator[Batch]:
+    """The examples laid out INFERENCE_CHUNK at a time, in order.
+
+    The layout depends on the parameters' shapes only, so a caller that
+    scores the same examples again can keep the list and pass it as
+    `chunks` to dataset_loss and predict_packed.
+    """
+    for start in range(0, len(packed), INFERENCE_CHUNK):
+        yield make_batch(params, packed[start : start + INFERENCE_CHUNK])
+
+
 def dataset_loss(
-    kind: str, params: NeuralParams, packed: Sequence[PackedExample], l2: float
+    kind: str,
+    params: NeuralParams,
+    packed: Sequence[PackedExample],
+    l2: float,
+    chunks: Optional[Sequence[Batch]] = None,
 ) -> float:
     total = 0.0
-    for start in range(0, len(packed), INFERENCE_CHUNK):
-        batch = make_batch(params, packed[start : start + INFERENCE_CHUNK])
+    for batch in inference_chunks(params, packed) if chunks is None else chunks:
         total += _cross_entropy_sum(forward_batch(kind, params, batch), batch.labels)
     return total / len(packed) + _l2_penalty(params, l2)
 
 
-def predict_packed(kind: str, params: NeuralParams, packed: Sequence[PackedExample]) -> np.ndarray:
+def predict_packed(
+    kind: str,
+    params: NeuralParams,
+    packed: Sequence[PackedExample],
+    chunks: Optional[Sequence[Batch]] = None,
+) -> np.ndarray:
     out = np.zeros(len(packed), dtype=np.int64)
-    for start in range(0, len(packed), INFERENCE_CHUNK):
-        batch = make_batch(params, packed[start : start + INFERENCE_CHUNK])
+    batches = inference_chunks(params, packed) if chunks is None else chunks
+    for start, batch in zip(range(0, len(packed), INFERENCE_CHUNK), batches):
         out[start + batch.order] = np.argmax(forward_batch(kind, params, batch).probs, axis=1)
     return out
 
@@ -439,6 +508,11 @@ def train_neural(
         dev_labels = np.array([p.label_index for p in packed_dev])
 
     params = init_params(kind, vocab.size, encoder_config, train_config.seed)
+    train_chunks = list(inference_chunks(params, packed_train))
+    dev_chunks = list(inference_chunks(params, packed_dev)) if packed_dev is not None else None
+    grads = params.zeros_like()  # one buffer, overwritten by every minibatch
+    grad_blocks = grads.blocks()
+    updates = [(block, grad_blocks[name]) for name, block in params.blocks().items()]
     rng = np.random.default_rng(train_config.seed)
     history: list[EpochStats] = []
     best_params = copy.deepcopy(params)
@@ -451,11 +525,10 @@ def train_neural(
         order = rng.permutation(len(packed_train))
         for batch_indices in _batches(len(packed_train), train_config.batch_size, order):
             batch = [packed_train[i] for i in batch_indices]
-            _, grads = batch_loss_and_grads(kind, params, batch, train_config.l2)
-            grad_blocks = grads.blocks()
-            for name, block in params.blocks().items():
-                block -= train_config.learning_rate * grad_blocks[name]
-        epoch_loss = dataset_loss(kind, params, packed_train, train_config.l2)
+            batch_loss_and_grads(kind, params, batch, train_config.l2, grads)
+            for block, gblock in updates:
+                block -= train_config.learning_rate * gblock
+        epoch_loss = dataset_loss(kind, params, packed_train, train_config.l2, train_chunks)
         if not np.isfinite(epoch_loss):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
         if initial_loss is None:
@@ -472,7 +545,7 @@ def train_neural(
 
         dev_accuracy: Optional[float] = None
         if packed_dev is not None:
-            predictions = predict_packed(kind, params, packed_dev)
+            predictions = predict_packed(kind, params, packed_dev, dev_chunks)
             dev_accuracy = float(np.mean(predictions == dev_labels))
         history.append(EpochStats(epoch=epoch, train_loss=epoch_loss, dev_accuracy=dev_accuracy))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Iterator, Optional, Sequence
@@ -222,9 +223,10 @@ def _topic_ids(record: dict, part: str) -> frozenset[str]:
 
 def read_split_file(path: str) -> TopicSplit:
     """Every format error is one ValueError naming the file."""
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
+        text = handle.read()
         try:
-            record = json.load(handle)
+            record = json.loads(text)
             if not isinstance(record, dict):
                 raise ValueError("expected a JSON object")
             if record.get("schema") != SPLIT_SCHEMA:
@@ -295,6 +297,21 @@ def write_pairs_file(examples: Iterable[SpecificityExample | StanceExample], pat
         write_pairs(examples, handle)
 
 
+@contextmanager
+def open_text(path: str) -> Iterator[IO[str]]:
+    """The file opened as UTF-8 text for reading.
+
+    Bytes that do not decode, wherever the reader meets them, raise one
+    ValueError "<path>: not UTF-8 text (<reason>)". It names no line: the
+    decoder reads the file in chunks, ahead of the line being parsed.
+    """
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def located_error(source: str, line_no: Optional[int], exc: Exception) -> ValueError:
     """The one error a reader raises for a bad record: "<source>:<line>: <reason>".
 
@@ -354,5 +371,5 @@ def read_pairs(
 
 
 def read_pairs_file(path: str) -> list[SpecificityExample | StanceExample]:
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         return list(read_pairs(handle, source=path))

@@ -222,7 +222,6 @@ def _generate_tree(
     )
     drafts.append(root)
     counter = 1
-    lengths_up: dict[str, list[int]] = {"c0": [root_len]}
 
     def children(parent: _NodeDraft, ancestor_lengths: list[int]):
         """Draw each child of parent in turn; yields (child, its ancestors' lengths)."""

@@ -307,6 +307,16 @@ def test_gradcheck_single_model(capsys):
     assert out.rstrip().endswith("ok")
 
 
+def test_gradcheck_path_hier_runs_both_fixtures(capsys):
+    assert main(["gradcheck", "--model", "path-hier"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": max rel error")[0] for line in lines] == [
+        "path-hier", "path-hier (one-edge paths)"
+    ]
+    assert all("(tolerance 1e-04, 338 params, worst " in line for line in lines)
+    assert all(line.endswith(") ok") for line in lines)
+
+
 # ---------------------------------------------------------------------------
 # Exit codes and configuration precedence
 
@@ -585,6 +595,68 @@ def test_bad_split_file_is_one_file_error(pipeline, tmp_path, capsys, edit, reas
         "--split", str(path), "--part", "train", "-o", str(tmp_path / "p.jsonl"),
     ])
     assert reason in _one_file_error(capsys, code, path)
+
+
+def _non_utf8_argv(reader, pipeline, tmp_path):
+    """(valid input, argv reading it from `bad`) for each text reader."""
+    bad = tmp_path / "bad.txt"
+    out = str(tmp_path / "out")
+    cases = {
+        "corpus": (pipeline["corpus"], ["validate", bad]),
+        "pairs": (pipeline["stance_pairs"], [
+            "train", "--model", "majority", "--task", "stance", "--train", bad, "-o", out,
+        ]),
+        "features": (pipeline["specificity_features"], [
+            "train", "--model", "logreg", "--task", "specificity", "--train", bad, "-o", out,
+        ]),
+        "vocabulary": (pipeline["vocab"], [
+            "featurize", pipeline["specificity_pairs"], "--task", "specificity",
+            "--vocab", bad, "-o", out,
+        ]),
+        "split": (pipeline["split"], [
+            "derive-pairs", pipeline["corpus"], "--task", "stance",
+            "--split", bad, "--part", "train", "-o", out,
+        ]),
+        "lexicon": ("good\t0.5\tstrong\nbad\t-0.5\tweak\n", [
+            "featurize", pipeline["stance_pairs"], "--task", "stance", "--lexicon", bad,
+            "--vocab", tmp_path / "vocab.json", "-o", out,
+        ]),
+        "embeddings": ("good 0.5 1.0\nbad 0.5 -1.0\n", [
+            "featurize", pipeline["stance_pairs"], "--task", "stance", "--embeddings", bad,
+            "--vocab", tmp_path / "vocab.json", "-o", out,
+        ]),
+        "outline": (OUTLINE, ["import-outline", bad, "--topic-id", "t", "-o", out]),
+    }
+    source, argv = cases[reader]
+    data = source.encode() if isinstance(source, str) else source.read_bytes()
+    middle = len(data) // 2
+    bad.write_bytes(data[:middle] + b"\xff" + data[middle:])
+    return bad, [str(a) for a in argv]
+
+
+@pytest.mark.parametrize(
+    "reader",
+    ["corpus", "pairs", "features", "vocabulary", "split", "lexicon", "embeddings", "outline"],
+)
+def test_non_utf8_input_is_one_file_error(pipeline, tmp_path, capsys, reader):
+    bad, argv = _non_utf8_argv(reader, pipeline, tmp_path)
+    capsys.readouterr()
+    message = _one_file_error(capsys, main(argv), bad)
+    assert message.startswith(f"error: {bad}: not UTF-8 text ("), message
+
+
+def test_outline_errors_name_the_file(tmp_path, capsys):
+    orphan = tmp_path / "orphan.txt"
+    orphan.write_text("1. Thesis?\n1.2.1. Pro: no parent.\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["import-outline", str(orphan), "--topic-id", "t", "-o", str(tmp_path / "o")])
+    message = _one_located_error(capsys, code, orphan, 2)
+    assert "orphan numbering: parent '1.2' of '1.2.1' not seen" in message
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n\n", encoding="utf-8")
+    code = main(["import-outline", str(empty), "--topic-id", "t", "-o", str(tmp_path / "o")])
+    assert _one_file_error(capsys, code, empty) == f"error: {empty}: empty outline"
+    assert not (tmp_path / "o").exists()
 
 
 def test_checkpoint_without_a_block_is_one_file_error(pipeline, tmp_path, capsys):

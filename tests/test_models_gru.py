@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from argtree.models.gru import (
+    GRU_BLOCK_NAMES,
     BiGRUParams,
     GRUParams,
     PackedSteps,
     bigru_backward,
     bigru_forward,
+    gru_backward,
     gru_forward,
 )
 
+import gru_reference
 import neural_reference
 
 
@@ -143,3 +150,58 @@ def test_batched_bigru_matches_per_sequence_reference():
             np.testing.assert_allclose(
                 getattr(got, name), getattr(want, name), rtol=0, atol=1e-12
             )
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal shapes and bytes: np.array_equal would also let 0.0 match -0.0."""
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# Batches of 1-20 sequences of 1-5 steps; every other draw is all one-step
+# sequences, the case where no step carries a state.
+BATCH_LENGTHS = st.one_of(
+    st.lists(st.integers(1, 5), min_size=1, max_size=20),
+    st.integers(1, 20).map(lambda n: [1] * n),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lengths=BATCH_LENGTHS,
+    reverse=st.booleans(),
+    hidden=st.integers(1, 6),
+    dim=st.integers(1, 5),
+    zero_start=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(lengths=[1], reverse=False, hidden=3, dim=2, zero_start=True, seed=0)
+@example(lengths=[1], reverse=True, hidden=3, dim=2, zero_start=True, seed=0)
+@example(lengths=[5], reverse=True, hidden=3, dim=2, zero_start=False, seed=1)
+@example(lengths=[1] * 20, reverse=False, hidden=4, dim=3, zero_start=True, seed=2)
+def test_gru_matches_the_full_recurrence_bit_for_bit(
+    lengths, reverse, hidden, dim, zero_start, seed
+):
+    """Skipping the zero state's products changes no bit of any output."""
+    rng = np.random.default_rng(seed)
+    params = _random_params(rng, hidden, dim)
+    lengths = sorted(lengths, reverse=True)
+    steps = PackedSteps(
+        values=rng.normal(size=(sum(lengths), dim)), lengths=np.array(lengths)
+    )
+    dh = rng.normal(size=(len(steps), hidden))
+    start = params.zeros_like()
+    if not zero_start:
+        for name in GRU_BLOCK_NAMES:
+            getattr(start, name)[...] = rng.normal(size=getattr(start, name).shape)
+
+    cache = gru_forward(params, steps, reverse=reverse)
+    want_cache = gru_reference.gru_forward(params, steps, reverse=reverse)
+    for name in ("prev", "z", "r", "c", "h"):
+        assert _same_bits(getattr(cache, name), getattr(want_cache, name)), name
+
+    grads, want_grads = copy.deepcopy(start), copy.deepcopy(start)
+    dx = gru_backward(params, cache, dh, grads)
+    want_dx = gru_reference.gru_backward(params, want_cache, dh, want_grads)
+    assert _same_bits(dx, want_dx)
+    for name in GRU_BLOCK_NAMES:
+        assert _same_bits(getattr(grads, name), getattr(want_grads, name)), name

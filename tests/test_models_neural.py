@@ -22,9 +22,9 @@ from argtree.models.gradcheck import (
     gradcheck_logreg,
     gradcheck_neural,
 )
+from argtree.models import neural
 from argtree.models.neural import (
     dataset_loss,
-    example_sequences,
     forward_batch,
     init_params,
     make_batch,
@@ -63,6 +63,11 @@ PATH_EXAMPLE = StanceExample(
     label=StanceLabel.OPPOSES,
     same_stance=None,
 )
+
+
+def example_sequences(kind, example, vocab, config):
+    """The example's packed sequences, as pack_dataset packs them."""
+    return pack_dataset(kind, [example], vocab, config, [example.label.value])[0].sequences
 
 
 def _ids_equal(seq_a, seq_b):
@@ -124,6 +129,45 @@ def test_pack_dataset_maps_labels_to_sorted_indices():
 def test_pack_dataset_rejects_unknown_label():
     with pytest.raises(ValueError, match="unknown label"):
         pack_dataset("path-flat", [PATH_EXAMPLE], VOCAB, CONFIG, ["supports", "other"])
+
+
+def _path(*texts: str) -> StanceExample:
+    return StanceExample(
+        topic_id="t0", a_id="r", b_id="c", distance=len(texts) - 1, path_texts=list(texts),
+        path_edges=[StanceEdge.PRO] * (len(texts) - 1), label=StanceLabel.SUPPORTS,
+        same_stance=None,
+    )
+
+
+def test_pack_dataset_packs_each_distinct_edge_once(monkeypatch):
+    examples = [
+        _path("alpha", "beta gamma", "delta"),
+        _path("alpha", "beta gamma"),
+        _path("beta gamma", "delta", "good alpha"),
+        _path("zeta", "beta gamma"),
+        _path("eta", "beta gamma"),  # unknown tokens pack as PAD, like "zeta"
+    ]
+    calls = []
+    original = neural.pack_pair
+    monkeypatch.setattr(neural, "pack_pair", lambda *args: calls.append(args) or original(*args))
+    packed = pack_dataset("path-hier", examples, VOCAB, CONFIG, ["supports"])
+    assert len(calls) == 5  # distinct (parent, child) texts
+    assert [p.keys for p in packed] == [[0, 1], [0], [1, 2], [3], [3]]
+    monkeypatch.undo()
+    for example, item in zip(examples, packed):
+        want = pack_path_pairs(VOCAB, example.path_texts, CONFIG.truncate, CONFIG.pair_order)
+        assert len(item.sequences) == len(want)
+        for got, expected in zip(item.sequences, want):
+            _ids_equal(got, expected)
+
+
+def test_pack_dataset_keys_sequences_that_pack_alike_as_one():
+    examples = [_path("alpha", "beta"), _path("alpha unknown", "beta"), _path("alpha", "beta")]
+    packed = pack_dataset("pair", examples, VOCAB, CONFIG, ["supports"])
+    assert [p.keys for p in packed] == [[0], [1], [0]]
+    short = EncoderConfig(dim=8, hidden=6, truncate=1, min_count=1)
+    packed = pack_dataset("pair", examples, VOCAB, short, ["supports"])
+    assert [p.keys for p in packed] == [[0], [0], [0]]
 
 
 # ---------------------------------------------------------------------------
@@ -350,3 +394,15 @@ def test_gradcheck_neural_within_tolerance(kind):
 def test_gradcheck_covers_unshared_encoders():
     result = gradcheck_neural("path-hier", seed=0, share_encoder=False)
     assert result.max_rel_error < NEURAL_TOLERANCE
+
+
+@pytest.mark.parametrize("share_encoder", [True, False])
+def test_gradcheck_one_edge_paths_within_tolerance(share_encoder):
+    """Every path one edge long: the GRU skips its recurrent gradients."""
+    result = gradcheck_neural("path-hier", seed=0, share_encoder=share_encoder, one_edge=True)
+    assert result.max_rel_error < NEURAL_TOLERANCE
+
+
+def test_one_edge_fixture_is_path_hier_only():
+    with pytest.raises(ValueError, match="path-hier"):
+        gradcheck_neural("pair", one_edge=True)
