@@ -77,7 +77,7 @@ from .pairs import (
     write_split,
 )
 from .synth import SynthConfig, generate_corpus
-from .trees import node_depth, validate_tree
+from .trees import BrokenTreeError, node_depth, validate_tree
 
 DEFAULT_MAX_DISTANCE = {"specificity": 5, "stance": 4}
 
@@ -211,6 +211,15 @@ def _read_corpus(path: str):
     return corpus_io.parse_corpus_file(path)
 
 
+@contextlib.contextmanager
+def _walking_corpus(path: str):
+    """A broken tree met while walking the corpus at path becomes <path>:<line>: <reason>."""
+    try:
+        yield
+    except BrokenTreeError as exc:
+        raise corpus_io.CorpusFormatError(exc.tree.line_no, str(exc), source=path) from None
+
+
 def _read_pairs_with_task(path: str) -> tuple[str, list]:
     examples = read_pairs_file(path)
     if not examples:
@@ -297,6 +306,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     trees = _read_corpus(args.file)
+    # corpus_stats walks every claim's parent chain, so a broken tree fails here
+    with _walking_corpus(args.file):
+        text = stats_mod.corpus_stats(trees).to_text()
     if args.per_tree:
         for tree in trees:
             depth = max(node_depth(tree, node_id) for node_id in tree.nodes)
@@ -313,7 +325,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             print(
                 f"{tree.topic_id}\tclaims={len(tree.nodes)}\tdepth={depth}\tpro={pro}\tcon={con}"
             )
-    text = stats_mod.corpus_stats(trees).to_text()
     if args.out:
         _atomic_write(args.out, lambda handle: handle.write(text))
     else:
@@ -376,10 +387,13 @@ def cmd_derive_pairs(args: argparse.Namespace) -> int:
         keep = split.part(args.part)
         trees = [tree for tree in trees if tree.topic_id in keep]
     max_distance = args.max_distance or DEFAULT_MAX_DISTANCE[args.task]
-    if args.task == "specificity":
-        examples = list(derive_specificity_examples(trees, max_distance=max_distance, seed=seed))
-    else:
-        examples = list(derive_stance_examples(trees, max_distance=max_distance))
+    with _walking_corpus(args.corpus):
+        if args.task == "specificity":
+            examples = list(
+                derive_specificity_examples(trees, max_distance=max_distance, seed=seed)
+            )
+        else:
+            examples = list(derive_stance_examples(trees, max_distance=max_distance))
     _atomic_write(args.out, lambda handle: write_pairs(examples, handle))
     _log(f"derive-pairs: {len(examples)} {args.task} example(s) -> {args.out}")
     return 0

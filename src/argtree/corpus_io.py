@@ -61,7 +61,9 @@ def _claim_rows(record: dict, line_no: int) -> list[tuple[str, Optional[str], Op
 def parse_corpus(stream: IO[str] | Iterable[str]) -> Iterator[ArgumentTree]:
     """Parse trees from a JSON-lines stream, reporting errors by line.
 
-    A topic_id that an earlier line already holds is an error.
+    topic_id must be a string and tags a list of strings; neither is
+    coerced. A topic_id that an earlier line already holds is an error.
+    Each tree records its line as `line_no`.
     """
     first_line: dict[str, int] = {}
     for line_no, line in enumerate(stream, start=1):
@@ -81,7 +83,11 @@ def parse_corpus(stream: IO[str] | Iterable[str]) -> Iterator[ArgumentTree]:
                 raise CorpusFormatError(line_no, f"record missing field {key!r}")
         if not isinstance(record["claims"], list) or not record["claims"]:
             raise CorpusFormatError(line_no, "claims must be a non-empty list")
-        topic_id = str(record["topic_id"])
+        topic_id, tags = record["topic_id"], record["tags"]
+        if not isinstance(topic_id, str):
+            raise CorpusFormatError(line_no, f"topic_id must be a string, got {topic_id!r}")
+        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+            raise CorpusFormatError(line_no, f"tags must be a list of strings, got {tags!r}")
         if topic_id in first_line:
             raise CorpusFormatError(
                 line_no, f"duplicate topic_id {topic_id!r} (first on line {first_line[topic_id]})"
@@ -91,10 +97,11 @@ def parse_corpus(stream: IO[str] | Iterable[str]) -> Iterator[ArgumentTree]:
             tree = build_tree(
                 topic_id=topic_id,
                 claims=_claim_rows(record, line_no),
-                tags=frozenset(str(t) for t in record["tags"]),
+                tags=frozenset(tags),
             )
         except ValueError as exc:
             raise CorpusFormatError(line_no, str(exc)) from None
+        tree.line_no = line_no
         yield tree
 
 

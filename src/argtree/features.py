@@ -14,13 +14,15 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .pairs import SpecificityExample, StanceExample, located_error, open_text
 from .text import tokenize
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 PERSONAL_PRONOUNS = frozenset(
     "i me my mine we us our ours you your yours he him his she her hers "
@@ -227,6 +229,17 @@ def _bow_counts(vocab: Vocabulary, tokens: Sequence[str]) -> dict[int, float]:
     return counts
 
 
+def csr_matrix(arg, shape: Optional[tuple[int, int]] = None) -> sp.csr_matrix:
+    """`scipy.sparse.csr_matrix(arg, shape=shape)`.
+
+    scipy.sparse is imported on the first call, not with this module, so
+    commands that never build a sparse matrix do not pay to load it.
+    """
+    import scipy.sparse
+
+    return scipy.sparse.csr_matrix(arg, shape=shape)
+
+
 def _count_matrix(counts: Sequence[dict[int, float]], width: int) -> sp.csr_matrix:
     """Row t holds counts[t], over `width` vocabulary columns."""
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -235,7 +248,7 @@ def _count_matrix(counts: Sequence[dict[int, float]], width: int) -> sp.csr_matr
     data = np.fromiter(
         itertools.chain.from_iterable(c.values() for c in counts), np.float64, indptr[-1]
     )
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(counts), width))
+    matrix = csr_matrix((data, indices, indptr), shape=(len(counts), width))
     matrix.sort_indices()
     return matrix
 
@@ -594,7 +607,7 @@ class _Columns:
             topic_ids=self.topic_ids,
             distances=self.distances,
             same_stance=self.same_stance,
-            sparse=sp.csr_matrix((data, indices, indptr), shape=(n, width)),
+            sparse=csr_matrix((data, indices, indptr), shape=(n, width)),
             dense=np.array(self.dense, dtype=np.float64).reshape(n, k),
         )
 
@@ -658,7 +671,7 @@ def featurize_specificity(
         counts = _count_matrix([_bow_counts(vocab, t) for t in tokens], len(vocab))
         sparse = _bow_diff_rows(counts, first, second)
     else:
-        sparse = sp.csr_matrix((len(examples), 0))
+        sparse = csr_matrix((len(examples), 0))
     if use_surface:
         triples = np.array([_surface_triple(lexicon, t) for t in tokens]).reshape(-1, 3)
         dense = _surface_rows(triples, first, second)

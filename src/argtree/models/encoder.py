@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from ..features import build_vocabulary
+from ..features import build_vocabulary, csr_matrix
 from ..text import tokenize
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 PAD_ID = 0
 CLS_ID = 1
@@ -161,7 +163,7 @@ def batch_sequences(sequences: Sequence[tuple[np.ndarray, np.ndarray]]) -> Seque
         np.concatenate([ids for ids, _ in sequences]), return_inverse=True
     )
     weights = np.repeat(1.0 / lengths, lengths)
-    tokens = sp.csr_matrix((weights, indices, indptr), shape=(len(sequences), len(columns)))
+    tokens = csr_matrix((weights, indices, indptr), shape=(len(sequences), len(columns)))
     second = np.add.reduceat(np.concatenate([seg for _, seg in sequences]), indptr[:-1])
     segments = np.stack([lengths - second, second], axis=1) / lengths[:, None]
     return SequenceBatch(tokens=tokens, columns=columns, segments=segments)

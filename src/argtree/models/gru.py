@@ -15,8 +15,11 @@ are summed with one matmul per block after the backward scan.
 
 Terms that are exact zeros are not computed. The first step of a scan
 starts every running sequence from the zero state, so it skips the three
-recurrent products: z, r and c come from W x + b alone and h = z * c. The
-backward pass walks that step last and needs no gradient for the fixed
+recurrent products: z and c come from W x + b alone and h = z * c. Its r
+gate is not computed either, since c ignores r when the state is zero;
+the cache holds 0.0 there, which the backward pass reads only as r * 0.
+When every sequence is one step long, W_r x + b_r is not computed at all.
+The backward pass walks that step last and needs no gradient for the fixed
 zero state: it skips the U_h product and the carry, and sets the step's r
 gradient (a multiple of the zero state) to 0. When every sequence is one
 step long no step carries a state, so the U_z, U_r, U_h, W_r and b_r
@@ -133,8 +136,10 @@ def gru_forward(params: GRUParams, steps: PackedSteps, reverse: bool = False) ->
     """
     xs = steps.values
     hidden = params.hidden
+    (rows, n), *rest = _scan(steps, reverse)
     wz = xs @ params.w_z.T + params.b_z
-    wr = xs @ params.w_r.T + params.b_r
+    if rest:
+        wr = xs @ params.w_r.T + params.b_r
     wh = xs @ params.w_h.T + params.b_h
     prev = np.empty((len(xs), hidden))
     z = np.empty_like(prev)
@@ -142,10 +147,9 @@ def gru_forward(params: GRUParams, steps: PackedSteps, reverse: bool = False) ->
     c = np.empty_like(prev)
     h = np.empty_like(prev)
     state = np.zeros((len(steps.lengths), hidden))
-    (rows, n), *rest = _scan(steps, reverse)
     prev[rows] = 0.0
     z[rows] = _sigmoid(wz[rows])
-    r[rows] = _sigmoid(wr[rows])
+    r[rows] = 0.0
     c[rows] = np.tanh(wh[rows])
     h[rows] = state[:n] = z[rows] * c[rows]
     for rows, n in rest:

@@ -10,12 +10,11 @@ order; the second one is the positive class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from ..features import FeatureTable
+from ..features import FeatureTable, csr_matrix
 from .config import (
     DIVERGENCE_EPOCHS,
     DIVERGENCE_FACTOR,
@@ -23,6 +22,9 @@ from .config import (
     TrainConfig,
     TrainingDivergedError,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def standardization_stats(table: FeatureTable) -> tuple[np.ndarray, np.ndarray]:
@@ -56,7 +58,7 @@ def design_matrix(
     dense_at = (indptr[1:] - k)[:, None] + np.arange(k)
     data[dense_at] = (table.dense - dense_mean) / dense_std
     indices[dense_at] = sparse.shape[1] + np.arange(k)
-    return sp.csr_matrix((data, indices, indptr), shape=(n, sparse.shape[1] + k))
+    return csr_matrix((data, indices, indptr), shape=(n, sparse.shape[1] + k))
 
 
 def label_vector(table: FeatureTable, label_names: Sequence[str]) -> np.ndarray:

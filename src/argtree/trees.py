@@ -8,7 +8,7 @@ its length in edges is the distance between the two claims.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional
 
@@ -33,6 +33,8 @@ class ArgumentTree:
     tags: frozenset[str]
     nodes: dict[str, ClaimNode]
     root_id: str
+    # the corpus line the tree was parsed from, for located errors
+    line_no: Optional[int] = field(default=None, compare=False, repr=False)
 
     def node(self, node_id: str) -> ClaimNode:
         if node_id not in self.nodes:
@@ -48,6 +50,21 @@ class Violation:
     def __str__(self) -> str:
         where = self.node_id if self.node_id is not None else "<tree>"
         return f"{where}: {self.rule}"
+
+
+class BrokenTreeError(ValueError):
+    """A walk of the tree met a claim whose parent chain does not reach the root.
+
+    The message names the topic and the first violation validate_tree
+    reports for it (a chain that misses the root always breaks one of its
+    rules); `tree` is kept so a caller can say where the tree came from.
+    """
+
+    def __init__(self, tree: ArgumentTree):
+        super().__init__(
+            f"broken parent chain in topic {tree.topic_id!r}: {validate_tree(tree)[0]}"
+        )
+        self.tree = tree
 
 
 def build_tree(
@@ -151,9 +168,7 @@ def node_depth(tree: ArgumentTree, node_id: str) -> int:
     seen = {node_id}
     while node.parent is not None:
         if node.parent not in tree.nodes or node.parent in seen:
-            raise ValueError(
-                f"broken parent chain at {node.id!r} in topic {tree.topic_id!r}"
-            )
+            raise BrokenTreeError(tree)
         seen.add(node.parent)
         node = tree.nodes[node.parent]
         depth += 1
@@ -206,11 +221,14 @@ def ancestor_descendant_pairs(
 
     Deterministic order: ancestors in depth-first preorder; for each
     ancestor, pairs grouped by increasing distance, descendants at equal
-    distance in preorder of the ancestor's subtree.
+    distance in preorder of the ancestor's subtree. A claim the preorder
+    walk does not reach raises BrokenTreeError once the walk ends.
     """
     if max_distance < 1:
         raise ValueError("max_distance must be at least 1")
+    reached = 0
     for ancestor_id in iter_preorder(tree):
+        reached += 1
         frontier = [ancestor_id]
         for distance in range(1, max_distance + 1):
             next_frontier: list[str] = []
@@ -221,3 +239,5 @@ def ancestor_descendant_pairs(
             if not next_frontier:
                 break
             frontier = next_frontier
+    if reached != len(tree.nodes):
+        raise BrokenTreeError(tree)

@@ -365,6 +365,75 @@ def test_corpus_violations_exit_one(tmp_path, capsys):
     assert "empty claim text" in capsys.readouterr().out
 
 
+def _corpus_line(topic, *claims, **fields) -> str:
+    """One corpus record: a root claim `c0`, then (id, parent) children."""
+    record = {
+        "schema": "argtree/1",
+        "topic_id": topic,
+        "tags": [],
+        "claims": [{"id": "c0", "parent": None, "stance": None, "text": "Root?"}]
+        + [
+            {"id": claim_id, "parent": parent, "stance": "pro", "text": "Yes."}
+            for claim_id, parent in claims
+        ],
+    }
+    return json.dumps({**record, **fields})
+
+
+@pytest.mark.parametrize(
+    "fields, reason",
+    [
+        ({"tags": "abc"}, "tags must be a list of strings, got 'abc'"),
+        ({"tags": ["a", 1]}, "tags must be a list of strings, got ['a', 1]"),
+        ({"topic_id": 5}, "topic_id must be a string, got 5"),
+    ],
+)
+def test_corpus_field_types_are_one_located_error(tmp_path, capsys, fields, reason):
+    path = tmp_path / "typed.jsonl"
+    path.write_text(f"{_corpus_line('t0')}\n{_corpus_line('t1', **fields)}\n", encoding="utf-8")
+    capsys.readouterr()
+    message = _one_located_error(capsys, main(["validate", str(path)]), path, 2)
+    assert message == f"error: {path}:2: {reason}"
+
+
+def test_non_string_parent_is_a_dangling_parent(tmp_path, capsys):
+    path = tmp_path / "int-parent.jsonl"
+    path.write_text(_corpus_line("t", ("c1", 1)) + "\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert "t: c1: dangling parent 1\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "claims, violation",
+    [
+        ([("c1", "zz"), ("c2", "c0")], "c1: dangling parent 'zz'"),
+        ([("c1", "c2"), ("c2", "c1")], "c1: unreachable from root"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats"],
+        ["stats", "--per-tree"],
+        ["derive-pairs", "--task", "stance"],
+        ["derive-pairs", "--task", "specificity"],
+    ],
+)
+def test_broken_tree_is_one_located_error(tmp_path, capsys, claims, violation, argv):
+    """stats and derive-pairs name the file, the tree's line and the violation."""
+    path = tmp_path / "broken.jsonl"
+    path.write_text(
+        f"{_corpus_line('t0', ('c1', 'c0'))}\n\n{_corpus_line('t1', *claims)}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main([argv[0], str(path), *argv[1:], "-o", str(out)])
+    message = _one_located_error(capsys, code, path, 3)
+    assert message == f"error: {path}:3: broken parent chain in topic 't1': {violation}"
+    assert not out.exists()
+
+
 def test_unknown_config_key_is_usage_error(tmp_path):
     config = tmp_path / "bad.conf"
     config.write_text("not_a_real_knob = 3\n", encoding="utf-8")
@@ -841,3 +910,60 @@ def test_hier_checkpoint_is_identical_across_blas_thread_counts(pipeline, tmp_pa
         assert completed.returncode == 0, completed.stderr
         checkpoints.append(out.read_bytes())
     assert checkpoints[0] == checkpoints[1]
+
+
+# Run in a fresh interpreter: argv lists as JSON in, the scipy modules loaded
+# after the import and after each command out.
+START_UP_SCRIPT = """\
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import argtree.cli
+
+loaded = [["import", scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    assert argtree.cli.main(argv) == 0, argv
+    loaded.append([argv[0], scipy_modules()])
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_that_build_no_sparse_matrix_never_load_scipy(pipeline, tmp_path):
+    """scipy.sparse loads where a CSR matrix is built, not with the CLI."""
+    config, corpus, outline = tmp_path / "synth.conf", tmp_path / "corpus.jsonl", tmp_path / "o.txt"
+    config.write_text(SYNTH_CONFIG, encoding="utf-8")
+    outline.write_text(OUTLINE, encoding="utf-8")
+    split, pairs = tmp_path / "split.json", tmp_path / "pairs.jsonl"
+    commands = [
+        ["synth", "--config", config, "-o", corpus],
+        ["validate", corpus],
+        ["stats", corpus, "-o", tmp_path / "stats.txt"],
+        ["split", corpus, "--ratios", "0.5,0.25,0.25", "-o", split],
+        ["derive-pairs", corpus, "--task", "specificity", "-o", pairs],
+        [
+            "derive-pairs", corpus, "--task", "stance", "--split", split, "--part", "train",
+            "-o", tmp_path / "stance.jsonl",
+        ],
+        ["import-outline", outline, "--topic-id", "t", "-o", tmp_path / "outline.jsonl"],
+        ["report", pipeline["majority_csv"], pipeline["pair_csv"], "-o", tmp_path / "wide.csv"],
+        [
+            "featurize", pairs, "--task", "specificity", "--vocab", tmp_path / "vocab.txt",
+            "-o", tmp_path / "features.jsonl",
+        ],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(argtree.__file__)))
+    completed = subprocess.run(
+        [
+            sys.executable, "-c", START_UP_SCRIPT,
+            json.dumps([[str(a) for a in argv] for argv in commands]),
+        ],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    loaded = json.loads(completed.stdout.splitlines()[-1])
+    assert [name for name, _ in loaded] == ["import"] + [argv[0] for argv in commands]
+    *lean, (_, featurize) = loaded
+    assert all(modules == [] for _, modules in lean), lean
+    assert "scipy.sparse" in featurize

@@ -14,6 +14,7 @@ from argtree.models.gru import (
     BiGRUParams,
     GRUParams,
     PackedSteps,
+    _scan,
     bigru_backward,
     bigru_forward,
     gru_backward,
@@ -196,8 +197,15 @@ def test_gru_matches_the_full_recurrence_bit_for_bit(
 
     cache = gru_forward(params, steps, reverse=reverse)
     want_cache = gru_reference.gru_forward(params, steps, reverse=reverse)
-    for name in ("prev", "z", "r", "c", "h"):
+    for name in ("prev", "z", "c", "h"):
         assert _same_bits(getattr(cache, name), getattr(want_cache, name)), name
+    # The scan's first step starts from the zero state, where c ignores r:
+    # its r is never computed and reads +0.0; every other row keeps its bits.
+    first = _scan(steps, reverse)[0][0]
+    read = np.ones(len(steps), dtype=bool)
+    read[first] = False
+    assert _same_bits(cache.r[read], want_cache.r[read])
+    assert _same_bits(cache.r[first], np.zeros_like(cache.r[first]))
 
     grads, want_grads = copy.deepcopy(start), copy.deepcopy(start)
     dx = gru_backward(params, cache, dh, grads)
