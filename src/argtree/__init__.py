@@ -41,20 +41,15 @@ from .features import (
     FeatureRecord,
     FeatureSchema,
     FeatureTable,
-    FeatureVector,
     Lexicon,
     Vocabulary,
-    bow_pair_features,
     build_vocabulary,
     featurize_specificity,
     featurize_stance,
-    path_concat_features,
     read_embeddings_file,
     read_features_file,
     read_lexicon_file,
     read_vocabulary_file,
-    specificity_surface_features,
-    stance_pair_features,
     write_features_file,
     write_vocabulary_file,
 )

@@ -59,6 +59,7 @@ from .models import (
     load_model,
     majority_fit,
     model_payload,
+    neural_train_config,
     train_logreg,
     train_neural,
     LOGREG_TOLERANCE,
@@ -77,7 +78,7 @@ from .pairs import (
     write_split,
 )
 from .synth import SynthConfig, generate_corpus
-from .trees import BrokenTreeError, node_depth, validate_tree
+from .trees import BrokenTreeError, validate_tree
 
 DEFAULT_MAX_DISTANCE = {"specificity": 5, "stance": 4}
 
@@ -147,22 +148,26 @@ def load_run_config(path: Optional[str]) -> dict:
         return {}
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config {path}: not UTF-8 text ({exc.reason})") from None
     config: dict = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise UsageError(f"config {path}: line {line_no} is not `key = value`")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in _CONFIG_KEY_TYPES:
-                raise UsageError(f"config {path}: unknown key {key!r}")
-            if key in config:
-                raise UsageError(f"config {path}: duplicate key {key!r}")
-            config[key] = _parse_config_value(key, raw, path)
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise UsageError(f"config {path}: line {line_no} is not `key = value`")
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        raw = raw.strip()
+        if key not in _CONFIG_KEY_TYPES:
+            raise UsageError(f"config {path}: unknown key {key!r}")
+        if key in config:
+            raise UsageError(f"config {path}: duplicate key {key!r}")
+        config[key] = _parse_config_value(key, raw, path)
     return config
 
 
@@ -184,10 +189,10 @@ def _log(message: str) -> None:
     print(f"[argtree] {message}", file=sys.stderr)
 
 
-def _log_effective_config(command: str, config: dict, seed: int, threads: int) -> None:
+def _log_effective_config(command: str, config: dict, seed: int) -> None:
     parts = [f"{k}={config[k]}" for k in sorted(config) if k != "seed"]
     rendered = " ".join(parts) if parts else "(defaults)"
-    _log(f"{command}: seed={seed} threads={threads} config: {rendered}")
+    _log(f"{command}: seed={seed} config: {rendered}")
 
 
 def _atomic_write(path: str, writer: Callable[[IO[str]], None]) -> None:
@@ -205,10 +210,6 @@ def _atomic_write(path: str, writer: Callable[[IO[str]], None]) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp_path)
         raise
-
-
-def _read_corpus(path: str):
-    return corpus_io.parse_corpus_file(path)
 
 
 @contextlib.contextmanager
@@ -249,9 +250,7 @@ def _detect_dataset_kind(path: str) -> str:
 
 
 def _train_config_from(config: dict, seed: int, neural: bool) -> TrainConfig:
-    train_config = TrainConfig(seed=seed)
-    if neural:
-        train_config.learning_rate = 0.001
+    train_config = neural_train_config(seed=seed) if neural else TrainConfig(seed=seed)
     for key in ("learning_rate", "l2", "batch_size", "max_epochs", "patience"):
         if key in config:
             setattr(train_config, key, config[key])
@@ -291,7 +290,7 @@ def _synth_config_from(config: dict, seed: int) -> SynthConfig:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    trees = _read_corpus(args.file)
+    trees = corpus_io.parse_corpus_file(args.file)
     total = 0
     for tree in trees:
         for violation in validate_tree(tree):
@@ -305,25 +304,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    trees = _read_corpus(args.file)
-    # corpus_stats walks every claim's parent chain, so a broken tree fails here
+    trees = corpus_io.parse_corpus_file(args.file)
+    # corpus_stats checks every claim and walks its parent chain, so a broken tree fails here
     with _walking_corpus(args.file):
         text = stats_mod.corpus_stats(trees).to_text()
     if args.per_tree:
         for tree in trees:
-            depth = max(node_depth(tree, node_id) for node_id in tree.nodes)
-            pro = sum(
-                1
-                for node in tree.nodes.values()
-                if node.stance_to_parent is not None and node.stance_to_parent.value == "pro"
-            )
-            con = sum(
-                1
-                for node in tree.nodes.values()
-                if node.stance_to_parent is not None and node.stance_to_parent.value == "con"
-            )
+            one = stats_mod.corpus_stats([tree])
             print(
-                f"{tree.topic_id}\tclaims={len(tree.nodes)}\tdepth={depth}\tpro={pro}\tcon={con}"
+                f"{tree.topic_id}\tclaims={one.claim_count}\tdepth={max(one.depth_histogram)}"
+                f"\tpro={one.pro_count}\tcon={one.con_count}"
             )
     if args.out:
         _atomic_write(args.out, lambda handle: handle.write(text))
@@ -343,7 +333,7 @@ def cmd_import_outline(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config)
-    _log_effective_config("synth", config, seed, args.threads)
+    _log_effective_config("synth", config, seed)
     synth_config = _synth_config_from(config, seed)
     trees, ledger = generate_corpus(synth_config)
     _atomic_write(args.out, lambda handle: corpus_io.write_corpus(trees, handle))
@@ -359,14 +349,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_split(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config)
-    _log_effective_config("split", config, seed, args.threads)
+    _log_effective_config("split", config, seed)
     try:
         ratios = tuple(float(part) for part in args.ratios.split(","))
     except ValueError:
         raise UsageError(f"bad --ratios {args.ratios!r}") from None
     if len(ratios) != 3:
         raise UsageError("--ratios needs exactly three comma-separated numbers")
-    trees = _read_corpus(args.corpus)
+    trees = corpus_io.parse_corpus_file(args.corpus)
     split = split_by_topic([tree.topic_id for tree in trees], ratios=ratios, seed=seed)
     _atomic_write(args.out, lambda handle: write_split(split, handle))
     _log(
@@ -378,10 +368,10 @@ def cmd_split(args: argparse.Namespace) -> int:
 def cmd_derive_pairs(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config)
-    _log_effective_config("derive-pairs", config, seed, args.threads)
+    _log_effective_config("derive-pairs", config, seed)
     if (args.split is None) != (args.part is None):
         raise UsageError("--split and --part must be given together")
-    trees = _read_corpus(args.corpus)
+    trees = corpus_io.parse_corpus_file(args.corpus)
     if args.split:
         split = read_split_file(args.split)
         keep = split.part(args.part)
@@ -402,12 +392,10 @@ def cmd_derive_pairs(args: argparse.Namespace) -> int:
 def cmd_featurize(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config)
-    _log_effective_config("featurize", config, seed, args.threads)
+    _log_effective_config("featurize", config, seed)
     task, examples = _read_pairs_with_task(args.pairs)
     if task != args.task:
         raise ValueError(f"{args.pairs} holds {task} examples, but --task is {args.task}")
-    if not examples:
-        raise ValueError(f"{args.pairs}: no examples to featurize")
     if args.use_path and task != "stance":
         raise UsageError("--use-path applies to stance pairs only")
     if args.feature_set != "both" and task != "specificity":
@@ -449,7 +437,7 @@ def _load_training_labels(path: str) -> list[str]:
 def cmd_train(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config)
-    _log_effective_config("train", config, seed, args.threads)
+    _log_effective_config("train", config, seed)
     model_kind = args.model
 
     if model_kind == "majority":
@@ -623,26 +611,38 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _reports_from_csv_files(paths: Sequence[str]) -> list[EvalReport]:
+    """Reports in order of first appearance; a bad row is "<path>:<line>: <reason>"."""
     reports: dict[str, EvalReport] = {}
-    order: list[str] = []
     for path in paths:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open_text(path) as handle:
             reader = csv.DictReader(handle)
             if reader.fieldnames is None or set(_STRATA_CSV_FIELDS) - set(reader.fieldnames):
                 raise ValueError(f"{path}: not an evaluation CSV (missing columns)")
             for row in reader:
-                model = row["model"]
-                if model not in reports:
-                    reports[model] = EvalReport(
-                        task=row["task"], model=model, split=row["split"], strata={}
-                    )
-                    order.append(model)
-                reports[model].strata[row["stratum"]] = Stratum(
-                    count=int(row["count"]), correct=int(row["correct"])
-                )
-    if not order:
+                try:
+                    _add_report_row(reports, row)
+                except ValueError as exc:
+                    raise located_error(path, reader.line_num, exc) from None
+    if not reports:
         raise ValueError("no evaluation rows found")
-    return [reports[model] for model in order]
+    return list(reports.values())
+
+
+def _add_report_row(reports: dict[str, EvalReport], row: dict) -> None:
+    missing = [name for name in _STRATA_CSV_FIELDS if row[name] is None]
+    if missing:
+        raise ValueError(f"short row: no {missing[0]!r} field")
+    try:
+        stratum = Stratum(count=int(row["count"]), correct=int(row["correct"]))
+    except ValueError:
+        count, correct = row["count"], row["correct"]
+        raise ValueError(f"count {count!r} or correct {correct!r} is not an integer") from None
+    model = row["model"]
+    if model not in reports:
+        reports[model] = EvalReport(task=row["task"], model=model, split=row["split"], strata={})
+    if row["stratum"] in reports[model].strata:
+        raise ValueError(f"repeated row for model {model!r}, stratum {row['stratum']!r}")
+    reports[model].strata[row["stratum"]] = stratum
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -729,9 +729,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="seed (overrides config/env)")
     common.add_argument("--config", default=None, help="flat key = value config file")
-    common.add_argument(
-        "--threads", type=int, default=1, help="worker threads (accepted; execution is serial)"
-    )
     subparsers = parser.add_subparsers(dest="command", metavar="<command>")
     registry: dict[str, argparse.ArgumentParser] = {}
 
@@ -845,9 +842,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         print("error: a subcommand is required", file=sys.stderr)
-        return 2
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
         return 2
     try:
         return args.handler(args)

@@ -214,12 +214,6 @@ def read_embeddings_file(path: str) -> EmbeddingTable:
     return EmbeddingTable(vectors=vectors, dim=dim)
 
 
-@dataclass
-class FeatureVector:
-    sparse: dict[int, float] = field(default_factory=dict)
-    dense: dict[str, float] = field(default_factory=dict)
-
-
 def _bow_counts(vocab: Vocabulary, tokens: Sequence[str]) -> dict[int, float]:
     counts: dict[int, float] = {}
     for token in tokens:
@@ -262,22 +256,6 @@ def _bow_diff_rows(
     return diff
 
 
-def _bow_diff(first: dict[int, float], second: dict[int, float]) -> dict[int, float]:
-    """count(second) - count(first), zeros dropped."""
-    width = 1 + max(itertools.chain(first, second), default=-1)
-    row = _bow_diff_rows(_count_matrix([first, second], width), [0], [1])
-    return dict(zip(row.indices.tolist(), row.data.tolist()))
-
-
-def bow_pair_features(vocab: Vocabulary, first_text: str, second_text: str) -> FeatureVector:
-    """Difference encoding: count(second) - count(first), zeros dropped."""
-    return FeatureVector(
-        sparse=_bow_diff(
-            _bow_counts(vocab, tokenize(first_text)), _bow_counts(vocab, tokenize(second_text))
-        )
-    )
-
-
 SPECIFICITY_DENSE_NAMES = (
     "len_first",
     "len_second",
@@ -306,25 +284,6 @@ def _surface_rows(
     b = triples[np.asarray(second, dtype=np.intp)]
     # (first, second, diff) per measure: len_first, len_second, len_diff, pron_first, ...
     return np.stack([a, b, b - a], axis=2).reshape(len(a), len(SPECIFICITY_DENSE_NAMES))
-
-
-def _surface_dense(
-    first: tuple[float, float, float], second: tuple[float, float, float]
-) -> dict[str, float]:
-    row = _surface_rows(np.array([first, second]), [0], [1])[0]
-    return dict(zip(SPECIFICITY_DENSE_NAMES, row.tolist()))
-
-
-def specificity_surface_features(
-    lexicon: Lexicon, first_text: str, second_text: str
-) -> FeatureVector:
-    """Per-claim length, pronoun count and polarity strength, plus diffs."""
-    return FeatureVector(
-        dense=_surface_dense(
-            _surface_triple(lexicon, tokenize(first_text)),
-            _surface_triple(lexicon, tokenize(second_text)),
-        )
-    )
 
 
 STANCE_DENSE_NAMES = (
@@ -398,52 +357,11 @@ def _stance_dense(a: _StanceText, b: _StanceText) -> dict[str, float]:
     return dense
 
 
-def stance_pair_features(
-    vocab: Vocabulary,
-    lexicon: Lexicon,
-    a_text: str,
-    b_text: str,
-    embeddings: Optional[EmbeddingTable] = None,
-    stop_tokens: Optional[frozenset[str]] = None,
-) -> FeatureVector:
-    """BOW difference plus lexical overlap, sentiment and similarity features.
-
-    Content tokens exclude the stop list (by default the 50 most frequent
-    training tokens). Two empty content sets count as identical, so the
-    Jaccard of a pair of equal texts is always 1. The embedding cosine is
-    present only when an embedding table is supplied and is 0 whenever
-    either claim has no in-table token.
-    """
-    if stop_tokens is None:
-        stop_tokens = vocab.stop_tokens()
-    a = _stance_text(vocab, lexicon, a_text, embeddings, stop_tokens)
-    b = _stance_text(vocab, lexicon, b_text, embeddings, stop_tokens)
-    return FeatureVector(sparse=_bow_diff(a.counts, b.counts), dense=_stance_dense(a, b))
-
-
 def _path_concat(path_texts: Sequence[str]) -> tuple[str, str]:
     """(all path claims but the last, space-joined; the last claim)."""
     if len(path_texts) < 2:
         raise ValueError("path must contain at least two claims")
     return " ".join(path_texts[:-1]), path_texts[-1]
-
-
-def path_concat_features(
-    vocab: Vocabulary,
-    lexicon: Lexicon,
-    path_texts: Sequence[str],
-    embeddings: Optional[EmbeddingTable] = None,
-    stop_tokens: Optional[frozenset[str]] = None,
-) -> FeatureVector:
-    """Stance features of (all path claims but the last, joined) vs the last.
-
-    The concatenation plays the first role, so a distance-one path gives
-    exactly stance_pair_features(ancestor, descendant).
-    """
-    concat, last = _path_concat(path_texts)
-    return stance_pair_features(
-        vocab, lexicon, concat, last, embeddings=embeddings, stop_tokens=stop_tokens
-    )
 
 
 @dataclass

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, TypeVar
+
+import numpy as np
 
 DEFAULT_LOGREG_LR = 0.01
 DEFAULT_NEURAL_LR = 0.001
@@ -41,6 +43,73 @@ class TrainConfig:
             raise ValueError("batch_size and max_epochs must be positive")
         if self.patience < 0:
             raise ValueError("patience must be non-negative (0 disables early stopping)")
+
+
+State = TypeVar("State")
+
+
+def fit(
+    config: TrainConfig,
+    n: int,
+    step: Callable[[np.ndarray], None],
+    epoch_loss: Callable[[], float],
+    dev_accuracy: Optional[Callable[[], float]],
+    snapshot: Callable[[], State],
+) -> tuple[State, list[EpochStats]]:
+    """Seeded mini-batch descent with a divergence guard and best-dev checkpointing.
+
+    Each epoch shuffles range(n) with the seeded generator and calls `step`
+    on every batch_size slice of the order, then reads `epoch_loss()`. A
+    non-finite loss, or one above DIVERGENCE_FACTOR times the first epoch's
+    for DIVERGENCE_EPOCHS epochs in a row, raises TrainingDivergedError.
+    With `dev_accuracy`, the result is the `snapshot()` taken at the last
+    strict improvement of dev accuracy, and training stops after `patience`
+    epochs without one (0 never stops); without it, the state after the
+    last epoch.
+    """
+    rng = np.random.default_rng(config.seed)
+    history: list[EpochStats] = []
+    best: Optional[State] = None
+    best_dev = -1.0
+    stale = 0
+    initial_loss: Optional[float] = None
+    high_loss_streak = 0
+
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            step(order[start : start + config.batch_size])
+        loss = epoch_loss()
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+        if initial_loss is None:
+            initial_loss = loss
+        if loss > DIVERGENCE_FACTOR * initial_loss:
+            high_loss_streak += 1
+            if high_loss_streak >= DIVERGENCE_EPOCHS:
+                raise TrainingDivergedError(
+                    f"loss {loss:.4f} exceeded {DIVERGENCE_FACTOR}x the initial "
+                    f"loss for {DIVERGENCE_EPOCHS} consecutive epochs"
+                )
+        else:
+            high_loss_streak = 0
+
+        accuracy = None if dev_accuracy is None else dev_accuracy()
+        history.append(EpochStats(epoch=epoch, train_loss=loss, dev_accuracy=accuracy))
+        if accuracy is None:
+            continue
+        if accuracy > best_dev:
+            best_dev = accuracy
+            best = snapshot()
+            stale = 0
+        else:
+            stale += 1
+            if config.patience and stale >= config.patience:
+                break
+
+    if dev_accuracy is None:
+        best = snapshot()
+    return best, history
 
 
 def neural_train_config(**overrides) -> TrainConfig:

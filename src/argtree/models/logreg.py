@@ -10,18 +10,12 @@ order; the second one is the positive class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from ..features import FeatureTable, csr_matrix
-from .config import (
-    DIVERGENCE_EPOCHS,
-    DIVERGENCE_FACTOR,
-    EpochStats,
-    TrainConfig,
-    TrainingDivergedError,
-)
+from .config import EpochStats, TrainConfig, fit
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -119,11 +113,6 @@ class LogisticRegressionModel:
         return [(names[i], float(self.weights[i])) for i in order[:k]]
 
 
-def _batches(n: int, batch_size: int, order: np.ndarray) -> Iterator[np.ndarray]:
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
-
-
 def train_logreg(
     train: FeatureTable,
     dev: Optional[FeatureTable] = None,
@@ -148,54 +137,25 @@ def train_logreg(
 
     w = np.zeros(schema.width)
     b = 0.0
-    rng = np.random.default_rng(config.seed)
-    history: list[EpochStats] = []
-    best = (w.copy(), b)
-    best_dev = -1.0
-    stale = 0
-    initial_loss: Optional[float] = None
-    high_loss_streak = 0
 
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(len(train))
-        for batch in _batches(len(train), config.batch_size, order):
-            _, grad_w, grad_b = loss_and_grad(X[batch], y[batch], w, b, config.l2)
-            w -= config.learning_rate * grad_w
-            b -= config.learning_rate * grad_b
-        epoch_loss, _, _ = loss_and_grad(X, y, w, b, config.l2)
-        if not np.isfinite(epoch_loss):
-            raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-        if initial_loss is None:
-            initial_loss = epoch_loss
-        if epoch_loss > DIVERGENCE_FACTOR * initial_loss:
-            high_loss_streak += 1
-            if high_loss_streak >= DIVERGENCE_EPOCHS:
-                raise TrainingDivergedError(
-                    f"loss {epoch_loss:.4f} exceeded {DIVERGENCE_FACTOR}x the initial "
-                    f"loss for {DIVERGENCE_EPOCHS} consecutive epochs"
-                )
-        else:
-            high_loss_streak = 0
+    def step(batch: np.ndarray) -> None:
+        nonlocal w, b
+        _, grad_w, grad_b = loss_and_grad(X[batch], y[batch], w, b, config.l2)
+        w -= config.learning_rate * grad_w
+        b -= config.learning_rate * grad_b
 
-        dev_accuracy: Optional[float] = None
-        if X_dev is not None:
-            predictions = (X_dev @ w + b) > 0
-            dev_accuracy = float(np.mean(predictions == (y_dev > 0.5)))
-        history.append(EpochStats(epoch=epoch, train_loss=epoch_loss, dev_accuracy=dev_accuracy))
+    def dev_accuracy() -> float:
+        predictions = (X_dev @ w + b) > 0
+        return float(np.mean(predictions == (y_dev > 0.5)))
 
-        if dev_accuracy is not None:
-            if dev_accuracy > best_dev:
-                best_dev = dev_accuracy
-                best = (w.copy(), b)
-                stale = 0
-            else:
-                stale += 1
-                if config.patience and stale >= config.patience:
-                    break
-        else:
-            best = (w.copy(), b)
-
-    w, b = best
+    (w, b), history = fit(
+        config,
+        len(train),
+        step,
+        epoch_loss=lambda: loss_and_grad(X, y, w, b, config.l2)[0],
+        dev_accuracy=dev_accuracy if X_dev is not None else None,
+        snapshot=lambda: (w.copy(), b),
+    )
     return LogisticRegressionModel(
         task=schema.task,
         feature_set=schema.feature_set,

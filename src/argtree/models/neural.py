@@ -1,6 +1,6 @@
 """From-scratch neural claim-pair and path classifiers.
 
-Three model kinds share one training loop:
+Three model kinds share one training set-up:
 
 - "pair": encode the two claims as a single packed pair and classify the
   pooled representation. For path data the pair is (descendant, ancestor),
@@ -23,8 +23,9 @@ the places that read it.
 
 All matrices initialize uniformly in +-1/sqrt(fan_in) with fan_in the
 column count; biases start at zero. L2 applies to 2-D blocks only.
-Training is seeded mini-batch gradient descent with best-dev
-checkpointing, early stopping on dev accuracy, and a divergence guard.
+Training runs through config.fit, as logistic regression does: seeded
+mini-batch gradient descent with best-dev checkpointing, early stopping on
+dev accuracy, and a divergence guard.
 """
 
 from __future__ import annotations
@@ -37,15 +38,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from ..pairs import SpecificityExample, StanceExample
-from .config import (
-    DIVERGENCE_EPOCHS,
-    DIVERGENCE_FACTOR,
-    EncoderConfig,
-    EpochStats,
-    TrainConfig,
-    TrainingDivergedError,
-    neural_train_config,
-)
+from .config import EncoderConfig, EpochStats, TrainConfig, fit, neural_train_config
 from .encoder import (
     EncodeCache,
     EncoderParams,
@@ -68,7 +61,6 @@ from .gru import (
     bigru_backward,
     bigru_forward,
 )
-from .logreg import _batches
 
 MODEL_KINDS = ("pair", "path-flat", "path-hier")
 
@@ -513,54 +505,25 @@ def train_neural(
     grads = params.zeros_like()  # one buffer, overwritten by every minibatch
     grad_blocks = grads.blocks()
     updates = [(block, grad_blocks[name]) for name, block in params.blocks().items()]
-    rng = np.random.default_rng(train_config.seed)
-    history: list[EpochStats] = []
-    best_params = copy.deepcopy(params)
-    best_dev = -1.0
-    stale = 0
-    initial_loss: Optional[float] = None
-    high_loss_streak = 0
 
-    for epoch in range(1, train_config.max_epochs + 1):
-        order = rng.permutation(len(packed_train))
-        for batch_indices in _batches(len(packed_train), train_config.batch_size, order):
-            batch = [packed_train[i] for i in batch_indices]
-            batch_loss_and_grads(kind, params, batch, train_config.l2, grads)
-            for block, gblock in updates:
-                block -= train_config.learning_rate * gblock
-        epoch_loss = dataset_loss(kind, params, packed_train, train_config.l2, train_chunks)
-        if not np.isfinite(epoch_loss):
-            raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-        if initial_loss is None:
-            initial_loss = epoch_loss
-        if epoch_loss > DIVERGENCE_FACTOR * initial_loss:
-            high_loss_streak += 1
-            if high_loss_streak >= DIVERGENCE_EPOCHS:
-                raise TrainingDivergedError(
-                    f"loss {epoch_loss:.4f} exceeded {DIVERGENCE_FACTOR}x the initial "
-                    f"loss for {DIVERGENCE_EPOCHS} consecutive epochs"
-                )
-        else:
-            high_loss_streak = 0
+    def step(batch_indices: np.ndarray) -> None:
+        batch = [packed_train[i] for i in batch_indices]
+        batch_loss_and_grads(kind, params, batch, train_config.l2, grads)
+        for block, gblock in updates:
+            block -= train_config.learning_rate * gblock
 
-        dev_accuracy: Optional[float] = None
-        if packed_dev is not None:
-            predictions = predict_packed(kind, params, packed_dev, dev_chunks)
-            dev_accuracy = float(np.mean(predictions == dev_labels))
-        history.append(EpochStats(epoch=epoch, train_loss=epoch_loss, dev_accuracy=dev_accuracy))
+    def dev_accuracy() -> float:
+        predictions = predict_packed(kind, params, packed_dev, dev_chunks)
+        return float(np.mean(predictions == dev_labels))
 
-        if dev_accuracy is not None:
-            if dev_accuracy > best_dev:
-                best_dev = dev_accuracy
-                best_params = copy.deepcopy(params)
-                stale = 0
-            else:
-                stale += 1
-                if train_config.patience and stale >= train_config.patience:
-                    break
-        else:
-            best_params = params
-
+    best_params, history = fit(
+        train_config,
+        len(packed_train),
+        step,
+        epoch_loss=lambda: dataset_loss(kind, params, packed_train, train_config.l2, train_chunks),
+        dev_accuracy=dev_accuracy if packed_dev is not None else None,
+        snapshot=lambda: copy.deepcopy(params),
+    )
     return NeuralModel(
         kind=kind,
         task=task,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .text import split_sentences, tokenize
-from .trees import ArgumentTree, StanceEdge, node_depth
+from .trees import ArgumentTree, StanceEdge, check_claim, node_depth
 
 SIZE_BUCKET_WIDTH = 30
 
@@ -68,6 +68,7 @@ def corpus_stats(trees: list[ArgumentTree]) -> CorpusStats:
     for tree in trees:
         tree_max_depth = 0
         for node in tree.nodes.values():
+            check_claim(tree, node)
             claim_count += 1
             if node.stance_to_parent is StanceEdge.PRO:
                 pro += 1

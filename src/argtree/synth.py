@@ -129,11 +129,6 @@ class GenerationLedger:
             return 0.0
         return self.totals["length_signal_fired"] / self.totals["edges"]
 
-    def marker_faithful_rate(self) -> float:
-        if self.totals["edges"] == 0:
-            return 0.0
-        return self.totals["markers_faithful"] / self.totals["edges"]
-
     def predicted_length_accuracy(self, distance: int) -> float:
         """Accuracy a longer-is-more-specific comparator should reach.
 
@@ -150,10 +145,6 @@ class GenerationLedger:
         for topic in self.per_topic:
             stream.write(json.dumps({"record": "topic", **topic}) + "\n")
         stream.write(json.dumps({"record": "total", **self.totals}) + "\n")
-
-    def write_file(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            self.write(handle)
 
 
 @dataclass

@@ -53,18 +53,22 @@ class Violation:
 
 
 class BrokenTreeError(ValueError):
-    """A walk of the tree met a claim whose parent chain does not reach the root.
+    """A walk of the tree met a claim that breaks a rule of validate_tree.
 
-    The message names the topic and the first violation validate_tree
-    reports for it (a chain that misses the root always breaks one of its
-    rules); `tree` is kept so a caller can say where the tree came from.
+    By default the claim's parent chain does not reach the root. The
+    message names the topic and the first violation validate_tree reports
+    for it; `tree` is kept so a caller can say where the tree came from.
     """
 
-    def __init__(self, tree: ArgumentTree):
-        super().__init__(
-            f"broken parent chain in topic {tree.topic_id!r}: {validate_tree(tree)[0]}"
-        )
+    def __init__(self, tree: ArgumentTree, problem: str = "broken parent chain"):
+        super().__init__(f"{problem} in topic {tree.topic_id!r}: {validate_tree(tree)[0]}")
         self.tree = tree
+
+
+def check_claim(tree: ArgumentTree, node: ClaimNode) -> None:
+    """Raise BrokenTreeError unless the claim has a stance iff it has a parent, and text."""
+    if (node.parent is None) != (node.stance_to_parent is None) or not node.text.strip():
+        raise BrokenTreeError(tree, "invalid claim")
 
 
 def build_tree(
@@ -180,7 +184,8 @@ def path_between(tree: ArgumentTree, ancestor_id: str, descendant_id: str) -> tu
 
     The node list runs from the ancestor down to the descendant; edge i
     is the stance of node i+1 toward node i. Raises ValueError when the
-    first argument is not a proper ancestor of the second.
+    first argument is not a proper ancestor of the second, and
+    BrokenTreeError when a claim on the chain has no stance.
     """
     tree.node(ancestor_id)
     node = tree.node(descendant_id)
@@ -193,7 +198,7 @@ def path_between(tree: ArgumentTree, ancestor_id: str, descendant_id: str) -> tu
                 f"in topic {tree.topic_id!r}"
             )
         if node.stance_to_parent is None:
-            raise ValueError(f"missing stance on {node.id!r} in topic {tree.topic_id!r}")
+            raise BrokenTreeError(tree, "invalid claim")
         edges.append(node.stance_to_parent)
         node = tree.node(node.parent)
         chain.append(node.id)
@@ -222,12 +227,14 @@ def ancestor_descendant_pairs(
     Deterministic order: ancestors in depth-first preorder; for each
     ancestor, pairs grouped by increasing distance, descendants at equal
     distance in preorder of the ancestor's subtree. A claim the preorder
-    walk does not reach raises BrokenTreeError once the walk ends.
+    walk does not reach raises BrokenTreeError once the walk ends, and a
+    claim that check_claim rejects raises it when the walk reaches it.
     """
     if max_distance < 1:
         raise ValueError("max_distance must be at least 1")
     reached = 0
     for ancestor_id in iter_preorder(tree):
+        check_claim(tree, tree.nodes[ancestor_id])
         reached += 1
         frontier = [ancestor_id]
         for distance in range(1, max_distance + 1):

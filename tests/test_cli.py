@@ -280,6 +280,44 @@ def test_report_merges_models_as_rows(pipeline):
     assert all(len(row) == 6 for row in rows)
 
 
+def _report_input(pipeline, tmp_path, edit):
+    """The majority evaluation CSV with its lines passed through edit."""
+    lines = pipeline["majority_csv"].read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "eval.csv"
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    return path
+
+
+def _with_field(line, index, value):
+    fields = line.split(",")
+    fields[index] = value
+    return ",".join(fields)
+
+
+@pytest.mark.parametrize(
+    "edit, line_no, reason",
+    [
+        (lambda lines: [lines[0], "stance,majority", *lines[2:]], 2, "short row: no 'split' field"),
+        (
+            lambda lines: [lines[0], _with_field(lines[1], 4, "x"), *lines[2:]],
+            2,
+            "count 'x' or correct",
+        ),
+        (lambda lines: [*lines, lines[2]], None, "repeated row for model 'majority', stratum"),
+    ],
+    ids=["short-row", "bad-count", "repeated-row"],
+)
+def test_bad_report_row_is_one_located_error(pipeline, tmp_path, capsys, edit, line_no, reason):
+    path = _report_input(pipeline, tmp_path, edit)
+    if line_no is None:
+        line_no = len(path.read_text(encoding="utf-8").splitlines())
+    out = tmp_path / "wide.csv"
+    capsys.readouterr()
+    message = _one_located_error(capsys, main(["report", str(path), "-o", str(out)]), path, line_no)
+    assert reason in message
+    assert not out.exists()
+
+
 def test_significance_output_shape(pipeline, capsys):
     code = main([
         "significance", "--model-a", str(pipeline["majority_ckpt"]),
@@ -403,12 +441,38 @@ def test_non_string_parent_is_a_dangling_parent(tmp_path, capsys):
     assert "t: c1: dangling parent 1\n" in capsys.readouterr().out
 
 
+def _claims_edited(edit) -> str:
+    """The corpus line of tree t1 (c0 <- c1 <- c2) after edit(claims)."""
+    record = json.loads(_corpus_line("t1", ("c1", "c0"), ("c2", "c1")))
+    edit(record["claims"])
+    return json.dumps(record)
+
+
 @pytest.mark.parametrize(
-    "claims, violation",
+    "tree, reason",
     [
-        ([("c1", "zz"), ("c2", "c0")], "c1: dangling parent 'zz'"),
-        ([("c1", "c2"), ("c2", "c1")], "c1: unreachable from root"),
+        (
+            _corpus_line("t1", ("c1", "zz"), ("c2", "c0")),
+            "broken parent chain in topic 't1': c1: dangling parent 'zz'",
+        ),
+        (
+            _corpus_line("t1", ("c1", "c2"), ("c2", "c1")),
+            "broken parent chain in topic 't1': c1: unreachable from root",
+        ),
+        (
+            _claims_edited(lambda claims: claims[0].update(stance="pro")),
+            "invalid claim in topic 't1': c0: root claim carries a stance",
+        ),
+        (
+            _claims_edited(lambda claims: claims[2].update(text="  ")),
+            "invalid claim in topic 't1': c2: empty claim text",
+        ),
+        (
+            _claims_edited(lambda claims: claims[1].update(stance=None)),
+            "invalid claim in topic 't1': c1: non-root claim missing stance",
+        ),
     ],
+    ids=["dangling-parent", "cycle", "root-stance", "blank-text", "missing-stance"],
 )
 @pytest.mark.parametrize(
     "argv",
@@ -419,19 +483,28 @@ def test_non_string_parent_is_a_dangling_parent(tmp_path, capsys):
         ["derive-pairs", "--task", "specificity"],
     ],
 )
-def test_broken_tree_is_one_located_error(tmp_path, capsys, claims, violation, argv):
-    """stats and derive-pairs name the file, the tree's line and the violation."""
+def test_broken_tree_is_one_located_error(tmp_path, capsys, tree, reason, argv):
+    """stats and derive-pairs refuse a tree that validate rejects: file, tree line, violation."""
     path = tmp_path / "broken.jsonl"
-    path.write_text(
-        f"{_corpus_line('t0', ('c1', 'c0'))}\n\n{_corpus_line('t1', *claims)}\n",
-        encoding="utf-8",
-    )
+    path.write_text(f"{_corpus_line('t0', ('c1', 'c0'))}\n\n{tree}\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
     out = tmp_path / "out"
     capsys.readouterr()
     code = main([argv[0], str(path), *argv[1:], "-o", str(out)])
     message = _one_located_error(capsys, code, path, 3)
-    assert message == f"error: {path}:3: broken parent chain in topic 't1': {violation}"
+    assert message == f"error: {path}:3: {reason}"
     assert not out.exists()
+
+
+def test_non_utf8_config_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "bad.conf"
+    config.write_bytes(b"topic_count = 3\n# caf\xe9\n")
+    capsys.readouterr()
+    code = main(["synth", "--config", str(config), "-o", str(tmp_path / "x.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith(f"error: config {config}: not UTF-8 text ("), err
 
 
 def test_unknown_config_key_is_usage_error(tmp_path):
@@ -695,6 +768,7 @@ def _non_utf8_argv(reader, pipeline, tmp_path):
             "--vocab", tmp_path / "vocab.json", "-o", out,
         ]),
         "outline": (OUTLINE, ["import-outline", bad, "--topic-id", "t", "-o", out]),
+        "report": (pipeline["majority_csv"], ["report", bad, "-o", out]),
     }
     source, argv = cases[reader]
     data = source.encode() if isinstance(source, str) else source.read_bytes()
@@ -705,7 +779,10 @@ def _non_utf8_argv(reader, pipeline, tmp_path):
 
 @pytest.mark.parametrize(
     "reader",
-    ["corpus", "pairs", "features", "vocabulary", "split", "lexicon", "embeddings", "outline"],
+    [
+        "corpus", "pairs", "features", "vocabulary", "split", "lexicon", "embeddings", "outline",
+        "report",
+    ],
 )
 def test_non_utf8_input_is_one_file_error(pipeline, tmp_path, capsys, reader):
     bad, argv = _non_utf8_argv(reader, pipeline, tmp_path)
@@ -823,7 +900,10 @@ def test_unknown_stratum_is_usage_error(pipeline, tmp_path):
 
 
 def test_invalid_threads_is_usage_error(pipeline):
-    assert main(["validate", str(pipeline["corpus"]), "--threads", "0"]) == 2
+    # --threads is not a flag: argparse rejects it as unknown with exit 2.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["validate", str(pipeline["corpus"]), "--threads", "1"])
+    assert excinfo.value.code == 2
 
 
 def test_seed_priority_flag_config_env(pipeline, tmp_path, monkeypatch):

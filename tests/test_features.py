@@ -11,25 +11,30 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from argtree.features import (
+    STOP_LIST_SIZE,
     EmbeddingTable,
     FeatureRecord,
     FeatureSchema,
     Lexicon,
     Vocabulary,
-    bow_pair_features,
     build_vocabulary,
     featurize_specificity,
     featurize_stance,
-    path_concat_features,
     read_features_file,
     read_lexicon_file,
     read_vocabulary_file,
-    specificity_surface_features,
-    stance_pair_features,
     write_features_file,
     write_vocabulary_file,
 )
-from argtree.pairs import derive_specificity_examples, derive_stance_examples
+from argtree.pairs import (
+    SpecificityExample,
+    SpecificityLabel,
+    StanceExample,
+    StanceLabel,
+    derive_specificity_examples,
+    derive_stance_examples,
+)
+from argtree.trees import StanceEdge
 from features_reference import table_records
 
 
@@ -40,6 +45,32 @@ LEXICON = Lexicon(
         "fine": (0.3, "weak"),
     }
 )
+
+
+def specificity_row(vocab, first_text, second_text, feature_set="both") -> FeatureRecord:
+    """The one row featurize_specificity gives for the pair (first_text, second_text)."""
+    example = SpecificityExample(
+        topic_id="t", first_id="a", second_id="b", first_text=first_text,
+        second_text=second_text, distance=1,
+        label=SpecificityLabel.SECOND_MORE_SPECIFIC, same_stance=None,
+    )
+    return table_records(featurize_specificity([example], vocab, LEXICON, feature_set))[0]
+
+
+def stance_row(vocab, path_texts, embeddings=None, use_path=False) -> FeatureRecord:
+    """The one row featurize_stance gives for a path from path_texts[0] down to the last."""
+    example = StanceExample(
+        topic_id="t", a_id="a", b_id="b", distance=len(path_texts) - 1,
+        path_texts=list(path_texts), path_edges=[StanceEdge.PRO] * (len(path_texts) - 1),
+        label=StanceLabel.SUPPORTS, same_stance=True,
+    )
+    return table_records(featurize_stance([example], vocab, LEXICON, embeddings, use_path))[0]
+
+
+def vocab_past_stop_list(tokens) -> Vocabulary:
+    """The tokens indexed after STOP_LIST_SIZE filler tokens, so no test token is a stop word."""
+    ordered = [f"filler{i}" for i in range(STOP_LIST_SIZE)] + list(tokens)
+    return Vocabulary(token_to_index={t: i for i, t in enumerate(ordered)}, min_count=1, built_from="test")
 
 
 # ------------------------------------------------------------- vocabulary
@@ -95,15 +126,15 @@ def test_read_lexicon_rejects_bad_rows(tmp_path):
 
 def test_bow_difference_hand_case():
     vocab = build_vocabulary(["cats dogs dogs birds"], min_count=1)
-    vector = bow_pair_features(vocab, "cats cats dogs", "dogs birds")
-    by_token = {vocab.tokens()[i]: v for i, v in vector.sparse.items()}
+    row = specificity_row(vocab, "cats cats dogs", "dogs birds", feature_set="bow")
+    by_token = {vocab.tokens()[i]: v for i, v in row.sparse.items()}
     assert by_token == {"cats": -2.0, "birds": 1.0}  # dogs cancel at 1 - 1
 
 
 def test_bow_ignores_out_of_vocabulary_tokens():
     vocab = build_vocabulary(["known known"], min_count=1)
-    vector = bow_pair_features(vocab, "novel words", "known novel")
-    assert vector.sparse == {vocab.token_to_index["known"]: 1.0}
+    row = specificity_row(vocab, "novel words", "known novel", feature_set="bow")
+    assert row.sparse == {vocab.token_to_index["known"]: 1.0}
 
 
 @given(
@@ -112,21 +143,23 @@ def test_bow_ignores_out_of_vocabulary_tokens():
 )
 def test_bow_difference_is_antisymmetric(first, second):
     vocab = Vocabulary(token_to_index={t: i for i, t in enumerate("abcdef")}, min_count=1, built_from="test")
-    forward = bow_pair_features(vocab, " ".join(first), " ".join(second))
-    backward = bow_pair_features(vocab, " ".join(second), " ".join(first))
+    forward = specificity_row(vocab, " ".join(first), " ".join(second), feature_set="bow")
+    backward = specificity_row(vocab, " ".join(second), " ".join(first), feature_set="bow")
     assert forward.sparse == {i: -v for i, v in backward.sparse.items()}
 
 
 def test_bow_identical_texts_give_empty_vector():
     vocab = build_vocabulary(["same same text"], min_count=1)
-    assert bow_pair_features(vocab, "same text", "same text").sparse == {}
+    assert specificity_row(vocab, "same text", "same text", feature_set="bow").sparse == {}
 
 
 # ------------------------------------------------------- dense feature sets
 
 def test_surface_features_hand_case():
-    vector = specificity_surface_features(LEXICON, "I think this is fine.", "Records show a bad outcome.")
-    dense = vector.dense
+    row = specificity_row(
+        None, "I think this is fine.", "Records show a bad outcome.", feature_set="surface"
+    )
+    dense = row.dense
     assert dense["len_first"] == 6.0  # i think this is fine .
     assert dense["len_second"] == 6.0  # records show a bad outcome .
     assert dense["len_diff"] == dense["len_second"] - dense["len_first"]
@@ -137,11 +170,8 @@ def test_surface_features_hand_case():
 
 
 def test_stance_features_hand_case():
-    vocab = build_vocabulary(["shared words differ differ"], min_count=1)
-    vector = stance_pair_features(
-        vocab, LEXICON, "shared good words", "shared bad thing", stop_tokens=frozenset()
-    )
-    dense = vector.dense
+    vocab = vocab_past_stop_list(["shared", "words", "differ"])
+    dense = stance_row(vocab, ["shared good words", "shared bad thing"]).dense
     assert dense["word_match"] == 1.0  # "shared"
     assert dense["jaccard"] == pytest.approx(1 / 5)
     assert dense["sentiment_match"] == 0.0  # +0.8 vs -0.9
@@ -153,35 +183,30 @@ def test_stance_features_hand_case():
 
 
 def test_stance_jaccard_of_equal_texts_is_one():
-    vocab = build_vocabulary(["x y"], min_count=1)
-    vector = stance_pair_features(vocab, LEXICON, "x y", "x y", stop_tokens=frozenset())
-    assert vector.dense["jaccard"] == 1.0
+    vocab = vocab_past_stop_list(["x", "y"])
+    assert stance_row(vocab, ["x y", "x y"]).dense["jaccard"] == 1.0
     # Even when the stop list swallows every token, equal sets stay equal.
-    vector = stance_pair_features(vocab, LEXICON, "x", "x", stop_tokens=frozenset({"x"}))
-    assert vector.dense["jaccard"] == 1.0
+    vocab = build_vocabulary(["x y"], min_count=1)
+    assert vocab.stop_tokens() >= {"x", "y"}
+    assert stance_row(vocab, ["x", "x"]).dense["jaccard"] == 1.0
 
 
 def test_stance_embedding_cosine():
-    import numpy as np
-
-    vocab = build_vocabulary(["a b"], min_count=1)
+    vocab = vocab_past_stop_list(["a", "b"])
     table = EmbeddingTable(vectors={"a": np.array([1.0, 0.0]), "b": np.array([0.0, 2.0])}, dim=2)
-    vector = stance_pair_features(vocab, LEXICON, "a", "b", embeddings=table, stop_tokens=frozenset())
-    assert vector.dense["embed_cosine"] == pytest.approx(0.0)
-    vector = stance_pair_features(vocab, LEXICON, "a", "a", embeddings=table, stop_tokens=frozenset())
-    assert vector.dense["embed_cosine"] == pytest.approx(1.0)
+    assert stance_row(vocab, ["a", "b"], table).dense["embed_cosine"] == pytest.approx(0.0)
+    assert stance_row(vocab, ["a", "a"], table).dense["embed_cosine"] == pytest.approx(1.0)
     # all-unknown text -> zero vector -> cosine pinned to 0
-    vector = stance_pair_features(vocab, LEXICON, "zzz", "a", embeddings=table, stop_tokens=frozenset())
-    assert vector.dense["embed_cosine"] == 0.0
+    assert stance_row(vocab, ["zzz", "a"], table).dense["embed_cosine"] == 0.0
 
 
-def test_path_concat_features_fold_the_prefix():
-    vocab = build_vocabulary(["p q r"], min_count=1)
-    folded = path_concat_features(vocab, LEXICON, ["p", "q", "r"], stop_tokens=frozenset())
-    direct = stance_pair_features(vocab, LEXICON, "p q", "r", stop_tokens=frozenset())
-    assert folded == direct
+def test_path_features_fold_the_prefix():
+    vocab = vocab_past_stop_list(["p", "q", "r"])
+    folded = stance_row(vocab, ["p", "q", "r"], use_path=True)
+    direct = stance_row(vocab, ["p q", "r"])
+    assert (folded.sparse, folded.dense) == (direct.sparse, direct.dense)
     with pytest.raises(ValueError):
-        path_concat_features(vocab, LEXICON, ["only"], stop_tokens=frozenset())
+        stance_row(vocab, ["only"], use_path=True)
 
 
 # ------------------------------------------------------------ featurize + io
@@ -237,8 +262,8 @@ def test_featurize_stance_endpoint_vs_path(uniform_corpus, tmp_path):
     assert table_back == table_path
 
 
-def test_featurize_matches_the_per_pair_functions(uniform_corpus):
-    """The per-text caches of featurize give what the per-pair functions give."""
+def test_featurize_rows_match_one_example_featurize(uniform_corpus):
+    """The per-text caches of a whole-list featurize give each row what the example alone gives."""
     embeddings = EmbeddingTable(
         vectors={"uniforms": np.array([0.3, -0.1]), "students": np.array([0.7, 0.2])}, dim=2
     )
@@ -246,27 +271,16 @@ def test_featurize_matches_the_per_pair_functions(uniform_corpus):
     vocab = build_vocabulary((t for e in spec for t in (e.first_text, e.second_text)), min_count=1)
     records = table_records(featurize_specificity(spec, vocab, LEXICON, feature_set="both"))
     for example, record in zip(spec, records):
-        assert record.sparse == bow_pair_features(vocab, example.first_text, example.second_text).sparse
-        assert record.dense == specificity_surface_features(
-            LEXICON, example.first_text, example.second_text
-        ).dense
+        alone = table_records(featurize_specificity([example], vocab, LEXICON, feature_set="both"))
+        assert record == alone[0]
     stance = list(derive_stance_examples(uniform_corpus))
-    stop = vocab.stop_tokens()
     for use_path in (False, True):
         records = table_records(
             featurize_stance(stance, vocab, LEXICON, embeddings, use_path=use_path)
         )
         for example, record in zip(stance, records):
-            if use_path:
-                expected = path_concat_features(
-                    vocab, LEXICON, example.path_texts, embeddings, stop_tokens=stop
-                )
-            else:
-                expected = stance_pair_features(
-                    vocab, LEXICON, example.path_texts[0], example.path_texts[-1],
-                    embeddings, stop_tokens=stop,
-                )
-            assert (record.sparse, record.dense) == (expected.sparse, expected.dense)
+            alone = table_records(featurize_stance([example], vocab, LEXICON, embeddings, use_path))
+            assert record == alone[0]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from argtree.features import FeatureRecord, FeatureSchema, FeatureTable
-from argtree.models import TrainConfig, train_logreg
+from argtree.models import TrainConfig, TrainingDivergedError, train_logreg
 from argtree.models.logreg import (
     design_matrix,
     label_vector,
@@ -120,6 +120,13 @@ def test_training_is_seed_deterministic():
     assert [(h.epoch, h.train_loss, h.dev_accuracy) for h in a.history] == [
         (h.epoch, h.train_loss, h.dev_accuracy) for h in b.history
     ]
+
+
+def test_divergent_learning_rate_raises():
+    # lr * l2 > 2 flips and grows the weights every step.
+    config = TrainConfig(learning_rate=1e3, l2=1.0, batch_size=2, max_epochs=6)
+    with pytest.raises(TrainingDivergedError):
+        train_logreg(SEPARABLE, config=config)
 
 
 def test_training_rejects_single_class():
