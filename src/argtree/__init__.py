@@ -83,8 +83,6 @@ from .pairs import (
     read_pairs_file,
     read_split_file,
     split_by_topic,
-    write_pairs_file,
-    write_split_file,
 )
 from .stats import CorpusStats, corpus_stats
 from .synth import SynthConfig, generate_corpus, stance_oracle

@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import sys
 import tempfile
-from typing import Callable, IO, Optional, Sequence, Union
+import typing
+from typing import Callable, IO, Optional, Sequence, TypeVar, Union
 
 from . import corpus_io, stats as stats_mod
 from .evaluation import (
@@ -47,11 +49,9 @@ from .features import (
     write_vocabulary,
 )
 from .models import (
+    AnyModel,
     EncoderConfig,
     LengthBaseline,
-    LogisticRegressionModel,
-    MajorityBaseline,
-    NeuralModel,
     TrainConfig,
     dump_checkpoint,
     gradcheck_logreg,
@@ -87,41 +87,15 @@ class UsageError(Exception):
     """Bad flags or configuration; exits 2 with the subcommand synopsis."""
 
 
+# every field of the three config dataclasses, plus the two keys that only the CLI reads
 _CONFIG_KEY_TYPES: dict[str, type] = {
-    # shared
-    "seed": int,
     "alpha": float,
-    # training
-    "learning_rate": float,
-    "l2": float,
-    "batch_size": int,
-    "max_epochs": int,
-    "patience": int,
     "tie_preference": str,
-    # encoder architecture
-    "dim": int,
-    "hidden": int,
-    "truncate": int,
-    "pair_order": str,
-    "share_encoder": bool,
-    "max_positions": int,
-    "min_count": int,
-    # synthetic corpus generation
-    "topic_count": int,
-    "branch_min": int,
-    "branch_max": int,
-    "depth_min": int,
-    "depth_max": int,
-    "con_probability": float,
-    "length_signal_p": float,
-    "stance_marker_p": float,
-    "connective_p": float,
-    "concepts_per_topic": int,
-    "filler_count": int,
-    "root_len_min": int,
-    "root_len_max": int,
-    "min_claim_tokens": int,
-    "two_sentence_p": float,
+    **{
+        key: kind
+        for cls in (TrainConfig, EncoderConfig, SynthConfig)
+        for key, kind in typing.get_type_hints(cls).items()
+    },
 }
 
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -221,14 +195,6 @@ def _walking_corpus(path: str):
         raise corpus_io.CorpusFormatError(exc.tree.line_no, str(exc), source=path) from None
 
 
-def _read_pairs_with_task(path: str) -> tuple[str, list]:
-    examples = read_pairs_file(path)
-    if not examples:
-        raise ValueError(f"{path}: no examples")
-    task = "specificity" if isinstance(examples[0], SpecificityExample) else "stance"
-    return task, examples
-
-
 def _detect_dataset_kind(path: str) -> str:
     """'features' for feature files, 'pairs' for derived-pair files."""
     with open_text(path) as handle:
@@ -249,41 +215,48 @@ def _detect_dataset_kind(path: str) -> str:
     raise ValueError(f"{path}: neither a derived-pairs file nor a features file")
 
 
-def _train_config_from(config: dict, seed: int, neural: bool) -> TrainConfig:
-    train_config = neural_train_config(seed=seed) if neural else TrainConfig(seed=seed)
-    for key in ("learning_rate", "l2", "batch_size", "max_epochs", "patience"):
-        if key in config:
-            setattr(train_config, key, config[key])
-    train_config.validate()
-    return train_config
+_FILE_KINDS = {"features": "a features file", "pairs": "a derived-pairs file"}
 
 
-def _encoder_config_from(config: dict) -> EncoderConfig:
-    encoder_config = EncoderConfig()
-    for key in (
-        "dim",
-        "hidden",
-        "truncate",
-        "pair_order",
-        "share_encoder",
-        "max_positions",
-        "min_count",
-    ):
-        if key in config:
-            setattr(encoder_config, key, config[key])
-    encoder_config.validate()
-    return encoder_config
+def _read_data(path: str, task: str, kind: Optional[str] = None) -> Union[FeatureTable, list]:
+    """A features file as its table, a derived-pairs file as its examples, from one parse.
+
+    kind ("features" or "pairs") is the only kind of file the caller reads.
+    Data of a task other than `task` is an error.
+    """
+    found = _detect_dataset_kind(path)
+    if kind is not None and found != kind:
+        raise ValueError(f"{path} is {_FILE_KINDS[found]}, but this reads {_FILE_KINDS[kind]}")
+    if found == "features":
+        data = read_features_file(path)
+        data_task = data.schema.task
+    else:
+        data = read_pairs_file(path)
+        if not data:
+            raise ValueError(f"{path}: no examples")
+        data_task = "specificity" if isinstance(data[0], SpecificityExample) else "stance"
+    if data_task != task:
+        raise ValueError(f"{path} holds {data_task} data, but the task is {task}")
+    return data
 
 
-def _synth_config_from(config: dict, seed: int) -> SynthConfig:
-    synth_config = SynthConfig(seed=seed)
-    for key, value in config.items():
-        if key == "seed":
-            continue
-        if hasattr(synth_config, key):
-            setattr(synth_config, key, value)
-    synth_config.validate()
-    return synth_config
+def _rows(data: Union[FeatureTable, list]) -> list[tuple]:
+    """(topic_id, distance, same_stance, gold label) of every record."""
+    if isinstance(data, FeatureTable):
+        return list(zip(data.topic_ids, data.distances, data.same_stance, data.labels))
+    return [(e.topic_id, e.distance, e.same_stance, e.label.value) for e in data]
+
+
+Config = TypeVar("Config", TrainConfig, EncoderConfig, SynthConfig)
+
+
+def _config_from(base: Config, config: dict) -> Config:
+    """base with every field the run config sets, except seed, then validated."""
+    for field in dataclasses.fields(base):
+        if field.name in config and field.name != "seed":
+            setattr(base, field.name, config[field.name])
+    base.validate()
+    return base
 
 
 # ---------------------------------------------------------------- subcommands
@@ -334,8 +307,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config)
     _log_effective_config("synth", config, seed)
-    synth_config = _synth_config_from(config, seed)
-    trees, ledger = generate_corpus(synth_config)
+    trees, ledger = generate_corpus(_config_from(SynthConfig(seed=seed), config))
     _atomic_write(args.out, lambda handle: corpus_io.write_corpus(trees, handle))
     if args.ledger:
         _atomic_write(args.ledger, ledger.write)
@@ -393,13 +365,12 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config)
     _log_effective_config("featurize", config, seed)
-    task, examples = _read_pairs_with_task(args.pairs)
-    if task != args.task:
-        raise ValueError(f"{args.pairs} holds {task} examples, but --task is {args.task}")
+    task = args.task
     if args.use_path and task != "stance":
         raise UsageError("--use-path applies to stance pairs only")
     if args.feature_set != "both" and task != "specificity":
         raise UsageError("--feature-set applies to specificity pairs only")
+    examples = _read_data(args.pairs, task, "pairs")
 
     if os.path.exists(args.vocab):
         vocab = read_vocabulary_file(args.vocab)
@@ -427,66 +398,42 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_training_labels(path: str) -> list[str]:
-    kind = _detect_dataset_kind(path)
-    if kind == "features":
-        return read_features_file(path).labels
-    return [example.label.value for example in read_pairs_file(path)]
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config)
     _log_effective_config("train", config, seed)
-    model_kind = args.model
+    model_kind, task = args.model, args.task
 
-    if model_kind == "majority":
-        labels = _load_training_labels(args.train)
-        tie = config.get("tie_preference") or sorted(set(labels))[0]
-        model: object = majority_fit(labels, tie_preference=tie, task=args.task)
-    elif model_kind == "length":
-        if args.task != "specificity":
+    if model_kind == "length":
+        # parameter-free, so the training file is not read
+        if task != "specificity":
             raise UsageError("the length baseline is a specificity model")
-        model = LengthBaseline(task=args.task)
+        model: AnyModel = LengthBaseline(task=task)
+    elif model_kind == "majority":
+        labels = [row[-1] for row in _rows(_read_data(args.train, task))]
+        tie = config.get("tie_preference") or sorted(set(labels))[0]
+        model = majority_fit(labels, tie_preference=tie, task=task)
     elif model_kind == "logreg":
-        if _detect_dataset_kind(args.train) != "features":
-            raise ValueError("logreg trains on a features file; run `argtree featurize` first")
-        train = read_features_file(args.train)
-        schema = train.schema
-        if schema.task != args.task:
-            raise ValueError(f"{args.train} holds {schema.task} features, --task is {args.task}")
-        dev = None
-        if args.dev:
-            dev = read_features_file(args.dev)
-            if (dev.schema.sparse_names, dev.schema.dense_names) != (
-                schema.sparse_names,
-                schema.dense_names,
-            ):
-                raise ValueError("train and dev feature spaces differ")
-        train_config = _train_config_from(config, seed, neural=False)
-        model = train_logreg(train, dev, train_config)
+        train = _read_data(args.train, task, "features")
+        dev = _read_data(args.dev, task, "features") if args.dev else None
+        if dev is not None and (dev.schema.sparse_names, dev.schema.dense_names) != (
+            train.schema.sparse_names,
+            train.schema.dense_names,
+        ):
+            raise ValueError("train and dev feature spaces differ")
+        model = train_logreg(train, dev, _config_from(TrainConfig(seed=seed), config))
     else:
-        if _detect_dataset_kind(args.train) != "pairs":
-            raise ValueError(f"{model_kind} trains on a derived-pairs file")
-        task, train_examples = _read_pairs_with_task(args.train)
-        if task != args.task:
-            raise ValueError(f"{args.train} holds {task} examples, --task is {args.task}")
         if task == "specificity" and model_kind != "pair":
             raise UsageError("path models need stance pairs (specificity pairs have no path)")
-        dev_examples = None
-        if args.dev:
-            dev_task, dev_examples = _read_pairs_with_task(args.dev)
-            if dev_task != task:
-                raise ValueError("train and dev files hold different tasks")
-        train_config = _train_config_from(config, seed, neural=True)
-        encoder_config = _encoder_config_from(config)
+        train_examples = _read_data(args.train, task, "pairs")
+        dev_examples = _read_data(args.dev, task, "pairs") if args.dev else None
         model = train_neural(
             model_kind,
             task,
             train_examples,
             dev_examples,
-            encoder_config=encoder_config,
-            train_config=train_config,
+            train_config=_config_from(neural_train_config(seed=seed), config),
+            encoder_config=_config_from(EncoderConfig(), config),
         )
 
     payload = model_payload(model)
@@ -504,57 +451,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-_TestData = Union[FeatureTable, tuple[str, list]]
-
-
-def _read_test_data(path: str) -> _TestData:
-    """A features file as its table, a derived-pairs file as (task, examples)."""
-    if _detect_dataset_kind(path) == "features":
-        return read_features_file(path)
-    return _read_pairs_with_task(path)
-
-
-def _predict_items(
-    model: object, data: _TestData, test_path: str
-) -> tuple[str, str, list[EvalItem]]:
-    """Run a loaded model over parsed test data; returns (task, kind, items)."""
-    features = isinstance(data, FeatureTable)
-    if features:
-        rows = list(zip(data.topic_ids, data.distances, data.same_stance, data.labels))
-    else:
-        task, examples = data
-        rows = [(e.topic_id, e.distance, e.same_stance, e.label.value) for e in examples]
-
-    if isinstance(model, MajorityBaseline):
-        task, kind, predicted = model.task, "majority", [model.predict_label()] * len(rows)
-    elif isinstance(model, LogisticRegressionModel):
-        if not features:
-            raise ValueError("logreg evaluation needs a features file")
-        if (data.schema.sparse_names, data.schema.dense_names) != (
-            model.sparse_names,
-            model.dense_names,
-        ):
-            raise ValueError("feature file does not match the model's feature space")
-        task, kind, predicted = model.task, "logreg", model.predict_labels(data)
-    elif isinstance(model, LengthBaseline):
-        if features:
-            raise ValueError("the length baseline needs a derived-pairs file (it reads texts)")
-        if task != "specificity":
-            raise ValueError("the length baseline scores specificity pairs only")
-        kind, predicted = "length", model.predict_labels(examples)
-    elif isinstance(model, NeuralModel):
-        if features:
-            raise ValueError("neural evaluation needs a derived-pairs file (it reads texts)")
-        if task != model.task:
-            raise ValueError(f"{test_path} holds {task} examples, model is for {model.task}")
-        kind, predicted = model.kind, model.predict_labels(examples)
-    else:
-        raise ValueError(f"cannot evaluate model of type {type(model).__name__}")
+def _evaluate(
+    model: AnyModel, data: Union[FeatureTable, list], name: str, split: str = "test"
+) -> EvalReport:
+    """Score a model on parsed data of its task (see _read_data)."""
     items = [
         EvalItem(topic_id=topic, distance=distance, same_stance=same, gold=gold, predicted=pred)
-        for (topic, distance, same, gold), pred in zip(rows, predicted)
+        for (topic, distance, same, gold), pred in zip(_rows(data), model.predict_labels(data))
     ]
-    return task, kind, items
+    return stratified_eval(items, task=model.task, model=name, split=split)
 
 
 _STRATA_CSV_FIELDS = ["task", "model", "split", "stratum", "count", "correct", "accuracy"]
@@ -591,9 +496,8 @@ def _parse_strata_flag(raw: Optional[str]) -> Optional[list[str]]:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     requested = _parse_strata_flag(args.strata)
     model = load_model(args.model)
-    task, kind, items = _predict_items(model, _read_test_data(args.test), args.test)
-    name = args.name or kind
-    report = stratified_eval(items, task=task, model=name, split=args.split_name)
+    data = _read_data(args.test, model.task)
+    report = _evaluate(model, data, args.name or model.kind, args.split_name)
     filtered = _filter_strata(report, requested)
 
     def writer(handle: IO[str]) -> None:
@@ -606,7 +510,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.json:
         _atomic_write(args.json, lambda handle: dump_report(report, handle))
     print(report_to_text(filtered), end="")
-    _log(f"evaluate: {len(items)} example(s) -> {args.out}")
+    _log(f"evaluate: {len(data)} example(s) -> {args.out}")
     return 0
 
 
@@ -632,11 +536,17 @@ def _add_report_row(reports: dict[str, EvalReport], row: dict) -> None:
     missing = [name for name in _STRATA_CSV_FIELDS if row[name] is None]
     if missing:
         raise ValueError(f"short row: no {missing[0]!r} field")
+    if None in row:  # csv.DictReader files the fields past the header under None
+        raise ValueError(f"long row: {len(row[None])} field(s) past {_STRATA_CSV_FIELDS[-1]!r}")
     try:
         stratum = Stratum(count=int(row["count"]), correct=int(row["correct"]))
     except ValueError:
         count, correct = row["count"], row["correct"]
         raise ValueError(f"count {count!r} or correct {correct!r} is not an integer") from None
+    if min(stratum.count, stratum.correct) < 0:
+        raise ValueError(f"negative count {stratum.count} or correct {stratum.correct}")
+    if stratum.correct > stratum.count:
+        raise ValueError(f"correct {stratum.correct} exceeds count {stratum.count}")
     model = row["model"]
     if model not in reports:
         reports[model] = EvalReport(task=row["task"], model=model, split=row["split"], strata={})
@@ -667,19 +577,17 @@ def cmd_significance(args: argparse.Namespace) -> int:
         raise UsageError("--alpha must lie strictly between 0 and 1")
     model_a = load_model(args.model_a)
     model_b = load_model(args.model_b)
+    if model_a.task != model_b.task:
+        raise ValueError(f"models solve different tasks: {model_a.task} vs {model_b.task}")
     # Both models score one parse of the test file.
-    data = _read_test_data(args.test)
-    task_a, kind_a, items_a = _predict_items(model_a, data, args.test)
-    task_b, kind_b, items_b = _predict_items(model_b, data, args.test)
-    if task_a != task_b:
-        raise ValueError(f"models solve different tasks: {task_a} vs {task_b}")
-    report_a = stratified_eval(items_a, task=task_a, model=kind_a)
-    report_b = stratified_eval(items_b, task=task_b, model=kind_b)
+    data = _read_data(args.test, model_a.task)
+    report_a = _evaluate(model_a, data, model_a.kind)
+    report_b = _evaluate(model_b, data, model_b.kind)
     topics, accs_a, accs_b = paired_topic_vectors(report_a, report_b)
     result = paired_t_test(accs_a, accs_b)
 
-    print(f"model-a: {kind_a}  accuracy {report_a.accuracy_of('all'):.4f}")
-    print(f"model-b: {kind_b}  accuracy {report_b.accuracy_of('all'):.4f}")
+    print(f"model-a: {model_a.kind}  accuracy {report_a.accuracy_of('all'):.4f}")
+    print(f"model-b: {model_b.kind}  accuracy {report_b.accuracy_of('all'):.4f}")
     print(f"topics: {len(topics)}")
     if result.degenerate:
         print(f"t: degenerate (zero-variance differences), mean diff {result.mean_diff:+.4f}")

@@ -7,6 +7,8 @@ path-flat or path-hier.
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from typing import Union
 
 import numpy as np
@@ -112,20 +114,11 @@ def model_payload(model: AnyModel) -> tuple[str, int, dict[str, np.ndarray], dic
         }
         return "logreg", model.seed, blocks, meta
     if isinstance(model, NeuralModel):
-        config = model.encoder_config
         meta = {
             "task": model.task,
             "label_names": model.label_names,
             "tokens": model.vocab.tokens,
-            "encoder_config": {
-                "dim": config.dim,
-                "hidden": config.hidden,
-                "truncate": config.truncate,
-                "pair_order": config.pair_order,
-                "share_encoder": config.share_encoder,
-                "max_positions": config.max_positions,
-                "min_count": config.min_count,
-            },
+            "encoder_config": dataclasses.asdict(model.encoder_config),
             "history": _history_to_meta(model.history),
         }
         return model.kind, model.seed, model.params.blocks(), meta
@@ -214,15 +207,8 @@ def _model_from(kind: str, seed: int, blocks: _Entries, meta: _Entries) -> AnyMo
         )
     if kind in MODEL_KINDS:
         raw = _Entries("encoder_config key", meta["encoder_config"])
-        config = EncoderConfig(
-            dim=int(raw["dim"]),
-            hidden=int(raw["hidden"]),
-            truncate=int(raw["truncate"]),
-            pair_order=str(raw["pair_order"]),
-            share_encoder=bool(raw["share_encoder"]),
-            max_positions=int(raw["max_positions"]),
-            min_count=int(raw["min_count"]),
-        )
+        types = typing.get_type_hints(EncoderConfig)
+        config = EncoderConfig(**{name: cast(raw[name]) for name, cast in types.items()})
         return NeuralModel(
             kind=kind,
             task=meta["task"],

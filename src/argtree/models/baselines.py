@@ -5,10 +5,13 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
-from ..pairs import SpecificityExample, SpecificityLabel
+from ..features import FeatureTable
+from ..pairs import SpecificityExample, SpecificityLabel, StanceExample
 from ..text import tokenize
+
+Data = FeatureTable | Sequence[SpecificityExample] | Sequence[StanceExample]
 
 
 @dataclass
@@ -16,9 +19,11 @@ class MajorityBaseline:
     label: str
     counts: dict[str, int]
     task: str = "specificity"
+    kind: ClassVar[str] = "majority"
 
-    def predict_label(self) -> str:
-        return self.label
+    def predict_labels(self, data: Data) -> list[str]:
+        """The majority label for every record of a features table or example list."""
+        return [self.label] * len(data)
 
 
 def majority_fit(
@@ -39,13 +44,18 @@ class LengthBaseline:
     """Parameter-free comparator wrapped as a model for uniform storage."""
 
     task: str = "specificity"
+    kind: ClassVar[str] = "length"
 
-    def predict_labels(self, examples: Sequence[SpecificityExample]) -> list[str]:
+    def predict_labels(self, data: Data) -> list[str]:
         """Label values for many pairs; each distinct text is tokenized once."""
+        if isinstance(data, FeatureTable):
+            raise ValueError("the length baseline needs a derived-pairs file (it reads texts)")
+        if self.task != "specificity":
+            raise ValueError("the length baseline scores specificity pairs only")
         length = functools.cache(lambda text: len(tokenize(text)))
         return [
             _length_label(length(e.first_text), length(e.second_text)).value
-            for e in examples
+            for e in data
         ]
 
 

@@ -10,7 +10,7 @@ order; the second one is the positive class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -98,13 +98,19 @@ class LogisticRegressionModel:
     dense_std: np.ndarray
     seed: int
     history: list[EpochStats] = field(default_factory=list)
+    kind: ClassVar[str] = "logreg"
 
-    def decision_values(self, table: FeatureTable) -> np.ndarray:
-        X = design_matrix(table, self.dense_mean, self.dense_std)
-        return X @ self.weights + self.bias
-
-    def predict_labels(self, table: FeatureTable) -> list[str]:
-        values = self.decision_values(table)
+    def predict_labels(self, data: FeatureTable | Sequence) -> list[str]:
+        """Labels for a features table in this model's feature space."""
+        if not isinstance(data, FeatureTable):
+            raise ValueError("logreg evaluation needs a features file")
+        if (data.schema.sparse_names, data.schema.dense_names) != (
+            self.sparse_names,
+            self.dense_names,
+        ):
+            raise ValueError("feature file does not match the model's feature space")
+        X = design_matrix(data, self.dense_mean, self.dense_std)
+        values = X @ self.weights + self.bias
         return [self.label_names[1] if v > 0 else self.label_names[0] for v in values]
 
     def top_features(self, k: int = 20) -> list[tuple[str, float]]:

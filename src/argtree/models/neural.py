@@ -37,6 +37,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from ..features import FeatureTable
 from ..pairs import SpecificityExample, StanceExample
 from .config import EncoderConfig, EpochStats, TrainConfig, fit, neural_train_config
 from .encoder import (
@@ -461,10 +462,10 @@ class NeuralModel:
     seed: int
     history: list[EpochStats] = field(default_factory=list)
 
-    def predict_labels(self, examples: Sequence[Example]) -> list[str]:
-        packed = pack_dataset(
-            self.kind, examples, self.vocab, self.encoder_config, self.label_names
-        )
+    def predict_labels(self, data: FeatureTable | Sequence[Example]) -> list[str]:
+        if isinstance(data, FeatureTable):
+            raise ValueError("neural evaluation needs a derived-pairs file (it reads texts)")
+        packed = pack_dataset(self.kind, data, self.vocab, self.encoder_config, self.label_names)
         indices = predict_packed(self.kind, self.params, packed)
         return [self.label_names[i] for i in indices]
 

@@ -209,11 +209,6 @@ def write_split(split: TopicSplit, stream: IO[str]) -> None:
     stream.write("\n")
 
 
-def write_split_file(split: TopicSplit, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        write_split(split, handle)
-
-
 def _topic_ids(record: dict, part: str) -> frozenset[str]:
     ids = record[part]
     if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
@@ -290,11 +285,6 @@ def write_pairs(examples: Iterable[SpecificityExample | StanceExample], stream: 
             record = stance_to_record(example)
         stream.write(json.dumps(record, ensure_ascii=False))
         stream.write("\n")
-
-
-def write_pairs_file(examples: Iterable[SpecificityExample | StanceExample], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        write_pairs(examples, handle)
 
 
 @contextmanager

@@ -323,9 +323,51 @@ def test_truncated_block_rejected(tmp_path):
 
 def test_model_payload_kinds():
     majority = majority_fit(["supports"], "supports", task="stance")
-    assert model_payload(majority)[0] == "majority"
-    assert model_payload(LengthBaseline())[0] == "length"
+    assert model_payload(majority)[0] == majority.kind == "majority"
+    assert model_payload(LengthBaseline())[0] == LengthBaseline.kind == "length"
     records, _ = _logreg_fixture()
-    assert model_payload(train_logreg(records))[0] == "logreg"
+    logreg = train_logreg(records)
+    assert model_payload(logreg)[0] == logreg.kind == "logreg"
     model, _ = _neural_fixture("path-flat")
-    assert model_payload(model)[0] == "path-flat"
+    assert model_payload(model)[0] == model.kind == "path-flat"
+
+
+def test_every_model_kind_predicts_only_the_data_it_reads():
+    table, first_six = _logreg_fixture()
+    neural, examples = _neural_fixture("pair")
+    majority = majority_fit(["supports", "opposes", "supports"], "opposes", task="stance")
+    assert majority.predict_labels(table) == ["supports"] * len(table)
+    assert majority.predict_labels(examples) == ["supports"] * len(examples)
+    logreg = train_logreg(table)
+    assert len(logreg.predict_labels(first_six)) == 6
+    with pytest.raises(ValueError, match="needs a features file"):
+        logreg.predict_labels(examples)
+    narrower = FeatureSchema("stance", "both", sparse_names=["t0", "t1"], dense_names=["len"])
+    with pytest.raises(ValueError, match="does not match the model's feature space"):
+        logreg.predict_labels(FeatureTable.from_records(narrower, []))
+    with pytest.raises(ValueError, match="needs a derived-pairs file"):
+        LengthBaseline().predict_labels(table)
+    with pytest.raises(ValueError, match="needs a derived-pairs file"):
+        neural.predict_labels(table)
+
+
+def test_encoder_config_meta_is_pinned(tmp_path):
+    """The exact JSON of a pair checkpoint's encoder_config; each key is required on load."""
+    model, _ = _neural_fixture("pair")
+    path = str(tmp_path / "pair.ckpt")
+    save_model(model, path)
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    assert (
+        '"encoder_config": {"dim": 6, "hidden": 4, "truncate": 12, "pair_order": "top_down", '
+        '"share_encoder": true, "max_positions": 8, "min_count": 1}'
+    ) in lines[-1]
+    for key in json.loads(lines[-1])["encoder_config"]:
+        meta = json.loads(lines[-1])
+        del meta["encoder_config"][key]
+        broken = str(tmp_path / f"without-{key}.ckpt")
+        with open(broken, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines[:-1] + [json.dumps(meta)]) + "\n")
+        with pytest.raises(CheckpointFormatError) as excinfo:
+            load_model(broken)
+        assert str(excinfo.value) == f"{broken}: missing encoder_config key {key!r}"

@@ -304,8 +304,20 @@ def _with_field(line, index, value):
             "count 'x' or correct",
         ),
         (lambda lines: [*lines, lines[2]], None, "repeated row for model 'majority', stratum"),
+        (
+            lambda lines: [lines[0], _with_field(_with_field(lines[1], 4, "5"), 5, "9"), *lines[2:]],
+            2,
+            "correct 9 exceeds count 5",
+        ),
+        (lambda lines: [lines[0], lines[1] + ",extra", *lines[2:]], 2, "long row: 1 field(s)"),
+        (
+            lambda lines: [lines[0], _with_field(lines[1], 4, "-3"), *lines[2:]],
+            2,
+            "negative count -3 or correct",
+        ),
     ],
-    ids=["short-row", "bad-count", "repeated-row"],
+    ids=["short-row", "bad-count", "repeated-row", "correct-over-count", "long-row",
+         "negative-count"],
 )
 def test_bad_report_row_is_one_located_error(pipeline, tmp_path, capsys, edit, line_no, reason):
     path = _report_input(pipeline, tmp_path, edit)
@@ -581,6 +593,34 @@ def test_task_mismatch_exits_one(pipeline, tmp_path):
         "--train", str(pipeline["stance_pairs"]), "-o", str(tmp_path / "m.ckpt"),
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, data, other_task",
+    [
+        (["train", "--model", "majority", "--task", "specificity", "--train"], "stance_pairs",
+         "stance"),
+        (["train", "--model", "majority", "--task", "stance", "--train"], "specificity_features",
+         "specificity"),
+        (["evaluate", "--model", "majority_ckpt", "--test"], "specificity_pairs", "specificity"),
+        (["evaluate", "--model", "majority_ckpt", "--test"], "specificity_features",
+         "specificity"),
+    ],
+    ids=["train-pairs", "train-features", "evaluate-pairs", "evaluate-features"],
+)
+def test_majority_scores_only_data_of_its_task(pipeline, tmp_path, capsys, argv, data, other_task):
+    argv = [str(pipeline[arg]) if arg in pipeline else arg for arg in argv]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main([*argv, str(pipeline[data]), "-o", str(out)])
+    task = "specificity" if other_task == "stance" else "stance"
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {pipeline[data]} holds {other_task} data, but the task is {task}"
+    ]
+    assert not out.exists()
 
 
 def _one_located_error(capsys, code, path, line_no) -> str:
