@@ -404,10 +404,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     _log_effective_config("train", config, seed)
     model_kind, task = args.model, args.task
 
+    if args.dev and model_kind in ("majority", "length"):
+        raise UsageError(f"--dev has no effect on the {model_kind} baseline")
     if model_kind == "length":
         # parameter-free, so the training file is not read
         if task != "specificity":
             raise UsageError("the length baseline is a specificity model")
+        if not os.path.isfile(args.train):
+            raise ValueError(f"{args.train}: not a file")
         model: AnyModel = LengthBaseline(task=task)
     elif model_kind == "majority":
         labels = [row[-1] for row in _rows(_read_data(args.train, task))]

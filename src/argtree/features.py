@@ -34,6 +34,10 @@ STOP_LIST_SIZE = 50
 FEATURES_SCHEMA = "argtree-features/1"
 VOCAB_SCHEMA = "argtree-vocab/1"
 
+# Features files pass through memory this many rows at a time: the writer
+# converts one block to Python values, the reader packs one into arrays.
+BLOCK_ROWS = 1024
+
 
 @dataclass
 class Vocabulary:
@@ -232,6 +236,15 @@ def csr_matrix(arg, shape: Optional[tuple[int, int]] = None) -> sp.csr_matrix:
     import scipy.sparse
 
     return scipy.sparse.csr_matrix(arg, shape=shape)
+
+
+def index_dtype(*bounds: int) -> type:
+    """The CSR index dtype for a shape and an entry count no larger than max(bounds).
+
+    int32 when that fits, else int64: the dtype scipy's CSR constructor
+    settles on. Index arrays built in it from the start are not copied.
+    """
+    return np.int32 if max(bounds, default=0) <= np.iinfo(np.int32).max else np.int64
 
 
 def _count_matrix(counts: Sequence[dict[int, float]], width: int) -> sp.csr_matrix:
@@ -462,8 +475,24 @@ class FeatureTable:
 
 
 @dataclass
+class _Block:
+    """BLOCK_ROWS rows (fewer for the last) of sparse and dense values as arrays."""
+
+    row_lengths: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    dense: np.ndarray
+
+
+@dataclass
 class _Columns:
-    """Column buffers that rows are appended to, row by row."""
+    """Column buffers that rows are appended to, row by row.
+
+    The sparse and dense values of the open block collect in lists; each
+    full block moves into arrays, with its rows' entries sorted. The first
+    out-of-range and the first repeated sparse index are kept, not raised,
+    so that `table()` reports them after any error found in a later row.
+    """
 
     schema: FeatureSchema
     labels: list = field(default_factory=list)
@@ -474,6 +503,9 @@ class _Columns:
     data: list = field(default_factory=list)
     row_lengths: list = field(default_factory=list)
     dense: list = field(default_factory=list)
+    blocks: list[_Block] = field(default_factory=list)
+    out_of_range: Optional[_RowError] = None
+    repeated: Optional[_RowError] = None
 
     def append(
         self,
@@ -494,21 +526,28 @@ class _Columns:
         self.row_lengths.append(len(self.indices) - size)
         self.data.extend(data)
         self.dense.extend(dense)
+        if len(self.row_lengths) == BLOCK_ROWS:
+            self._pack()
 
-    def table(self) -> FeatureTable:
-        """Sorts each row's sparse entries; an index out of range or repeated is a _RowError."""
-        n = len(self.labels)
+    def _pack(self) -> None:
+        """Moves the open block into arrays, unless an earlier bad index dooms the table."""
+        first_row = len(self.labels) - len(self.row_lengths)
         width = len(self.schema.sparse_names)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self.row_lengths, out=indptr[1:])
+        if self.out_of_range is None:
+            try:
+                indices = np.array(self.indices, dtype=np.int64)
+            except OverflowError:
+                indices = None
+            if indices is None or (indices.size and (indices.min() < 0 or indices.max() >= width)):
+                self.out_of_range = self._first_out_of_range(first_row, width)
+            elif self.repeated is None:
+                self._sort_block(first_row, indices)
+        self.indices, self.data, self.row_lengths, self.dense = [], [], [], []
+
+    def _sort_block(self, first_row: int, indices: np.ndarray) -> None:
+        lengths = np.array(self.row_lengths, dtype=np.int64)
         data = np.array(self.data, dtype=np.float64)
-        try:
-            indices = np.array(self.indices, dtype=np.int64)
-        except OverflowError:
-            raise self._out_of_range(indptr, width) from None
-        if indices.size and (indices.min() < 0 or indices.max() >= width):
-            raise self._out_of_range(indptr, width)
-        rows = np.repeat(np.arange(n), self.row_lengths)
+        rows = np.repeat(np.arange(lengths.size), lengths)
         same_row = np.diff(rows) == 0
         if np.any(same_row & (np.diff(indices) <= 0)):
             # rows is sorted already, so sorting by (row, index) leaves it as it is
@@ -517,8 +556,50 @@ class _Columns:
             repeated = same_row & (np.diff(indices) == 0)
             if repeated.any():
                 at = int(np.argmax(repeated))
-                raise _RowError(int(rows[at]), f"sparse index {indices[at]} repeats")
+                self.repeated = _RowError(
+                    first_row + int(rows[at]), f"sparse index {indices[at]} repeats"
+                )
+                return
         k = len(self.schema.dense_names)
+        dense = np.array(self.dense, dtype=np.float64).reshape(lengths.size, k)
+        self.blocks.append(_Block(lengths, indices, data, dense))
+
+    def _first_out_of_range(self, first_row: int, width: int) -> _RowError:
+        end = 0
+        for row, length in enumerate(self.row_lengths):
+            start, end = end, end + length
+            for index in self.indices[start:end]:
+                if not 0 <= index < width:
+                    return _RowError(
+                        first_row + row, f"sparse index {index} out of range [0, {width})"
+                    )
+        raise AssertionError("no sparse index is out of range")
+
+    def table(self) -> FeatureTable:
+        """The table of every row; a sparse index out of range or repeated is a _RowError.
+
+        Each block is dropped once it is copied into the table's arrays.
+        """
+        self._pack()
+        if self.out_of_range or self.repeated:
+            raise self.out_of_range or self.repeated
+        n = len(self.labels)
+        width = len(self.schema.sparse_names)
+        nnz = sum(block.indices.size for block in self.blocks)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        indices = np.empty(nnz, dtype=index_dtype(n, width, nnz))
+        data = np.empty(nnz, dtype=np.float64)
+        dense = np.empty((n, len(self.schema.dense_names)), dtype=np.float64)
+        row = at = 0
+        while self.blocks:
+            block = self.blocks.pop(0)
+            rows, size = block.row_lengths.size, block.indices.size
+            indptr[row + 1 : row + rows + 1] = block.row_lengths
+            indices[at : at + size] = block.indices
+            data[at : at + size] = block.data
+            dense[row : row + rows] = block.dense
+            row, at = row + rows, at + size
+        np.cumsum(indptr, out=indptr)
         return FeatureTable(
             schema=self.schema,
             labels=self.labels,
@@ -526,15 +607,8 @@ class _Columns:
             distances=self.distances,
             same_stance=self.same_stance,
             sparse=csr_matrix((data, indices, indptr), shape=(n, width)),
-            dense=np.array(self.dense, dtype=np.float64).reshape(n, k),
+            dense=dense,
         )
-
-    def _out_of_range(self, indptr: np.ndarray, width: int) -> _RowError:
-        for row in range(len(self.row_lengths)):
-            for index in self.indices[indptr[row] : indptr[row + 1]]:
-                if not 0 <= index < width:
-                    return _RowError(row, f"sparse index {index} out of range [0, {width})")
-        raise AssertionError("no sparse index is out of range")
 
 
 def _text_rows(pairs: Sequence[tuple[str, str]]) -> tuple[list[str], list[int], list[int]]:
@@ -637,7 +711,8 @@ def write_features(table: FeatureTable, stream: IO[str]) -> None:
     """One header line, then one JSON object per row.
 
     A row's sparse object lists its stored entries in index order, its
-    dense object every dense name in schema order.
+    dense object every dense name in schema order. Rows are converted to
+    Python values one block of BLOCK_ROWS at a time.
     """
     schema = table.schema
     encode = json.JSONEncoder(ensure_ascii=False).encode
@@ -649,23 +724,29 @@ def write_features(table: FeatureTable, stream: IO[str]) -> None:
         "dense_names": schema.dense_names,
     }
     stream.write(encode(header) + "\n")
-    keys = [str(i) for i in table.sparse.indices.tolist()]
-    values = table.sparse.data.tolist()
-    indptr = table.sparse.indptr.tolist()
-    dense_rows = table.dense.tolist()
-    for row, (label, topic_id, distance, same_stance) in enumerate(
-        zip(table.labels, table.topic_ids, table.distances, table.same_stance)
-    ):
-        start, end = indptr[row], indptr[row + 1]
-        line = {
-            "label": label,
-            "sparse": dict(zip(keys[start:end], values[start:end])),
-            "dense": dict(zip(schema.dense_names, dense_rows[row])),
-            "topic_id": topic_id,
-            "distance": distance,
-            "same_stance": "n/a" if same_stance is None else same_stance,
-        }
-        stream.write(encode(line) + "\n")
+    sparse = table.sparse
+    for first in range(0, len(table), BLOCK_ROWS):
+        rows = slice(first, first + BLOCK_ROWS)
+        indptr = sparse.indptr[first : first + BLOCK_ROWS + 1]
+        keys = [str(i) for i in sparse.indices[indptr[0] : indptr[-1]].tolist()]
+        values = sparse.data[indptr[0] : indptr[-1]].tolist()
+        ends = (indptr[1:] - indptr[0]).tolist()
+        dense_rows = table.dense[rows].tolist()
+        start = 0
+        for end, dense, label, topic_id, distance, same_stance in zip(
+            ends, dense_rows, table.labels[rows], table.topic_ids[rows],
+            table.distances[rows], table.same_stance[rows],
+        ):
+            line = {
+                "label": label,
+                "sparse": dict(zip(keys[start:end], values[start:end])),
+                "dense": dict(zip(schema.dense_names, dense)),
+                "topic_id": topic_id,
+                "distance": distance,
+                "same_stance": "n/a" if same_stance is None else same_stance,
+            }
+            stream.write(encode(line) + "\n")
+            start = end
 
 
 def write_features_file(table: FeatureTable, path: str) -> None:
@@ -723,7 +804,7 @@ def read_features_file(path: str) -> FeatureTable:
                 continue
             try:
                 _read_row(json.loads(line), columns)
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise located_error(path, line_no, exc) from None
             line_numbers.append(line_no)
     try:

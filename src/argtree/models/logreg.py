@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from ..features import FeatureTable, csr_matrix
+from ..features import FeatureTable, csr_matrix, index_dtype
 from .config import EpochStats, TrainConfig, fit
 
 if TYPE_CHECKING:
@@ -40,16 +40,16 @@ def design_matrix(
     """
     sparse = table.sparse
     n, k = table.dense.shape
-    sparse_lengths = np.diff(sparse.indptr)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sparse_lengths + k, out=indptr[1:])
+    np.cumsum(np.diff(sparse.indptr) + k, out=indptr[1:])
     data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    # entry e of row r moves right past the dense entries of the rows before r
-    at = np.arange(sparse.nnz) + k * np.repeat(np.arange(n), sparse_lengths)
-    data[at] = sparse.data
-    indices[at] = sparse.indices
+    indices = np.empty(indptr[-1], dtype=index_dtype(n, sparse.shape[1] + k, indptr[-1]))
     dense_at = (indptr[1:] - k)[:, None] + np.arange(k)
+    # the sparse entries, in order, fill every place the dense entries leave
+    is_sparse = np.ones(indptr[-1], dtype=bool)
+    is_sparse[dense_at] = False
+    data[is_sparse] = sparse.data
+    indices[is_sparse] = sparse.indices
     data[dense_at] = (table.dense - dense_mean) / dense_std
     indices[dense_at] = sparse.shape[1] + np.arange(k)
     return csr_matrix((data, indices, indptr), shape=(n, sparse.shape[1] + k))

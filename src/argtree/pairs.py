@@ -317,28 +317,35 @@ def located_error(source: str, line_no: Optional[int], exc: Exception) -> ValueE
     return ValueError(f"{where}: {reason}")
 
 
-def _example_from_record(record: object) -> SpecificityExample | StanceExample:
+def _shared(value: object, strings: dict[str, str]) -> object:
+    """The str object equal to value that strings holds, which gains value if new."""
+    return strings.setdefault(value, value) if isinstance(value, str) else value
+
+
+def _example_from_record(
+    record: object, strings: dict[str, str]
+) -> SpecificityExample | StanceExample:
     if not isinstance(record, dict):
         raise ValueError("expected a JSON object")
     task = record.get("task")
     if task == "specificity":
         return SpecificityExample(
-            topic_id=record["topic_id"],
-            first_id=record["first_id"],
-            second_id=record["second_id"],
-            first_text=record["first_text"],
-            second_text=record["second_text"],
+            topic_id=_shared(record["topic_id"], strings),
+            first_id=_shared(record["first_id"], strings),
+            second_id=_shared(record["second_id"], strings),
+            first_text=_shared(record["first_text"], strings),
+            second_text=_shared(record["second_text"], strings),
             distance=int(record["distance"]),
             label=SpecificityLabel(record["label"]),
             same_stance=_same_stance_from_json(record["same_stance"]),
         )
     if task == "stance":
         return StanceExample(
-            topic_id=record["topic_id"],
-            a_id=record["a_id"],
-            b_id=record["b_id"],
+            topic_id=_shared(record["topic_id"], strings),
+            a_id=_shared(record["a_id"], strings),
+            b_id=_shared(record["b_id"], strings),
             distance=int(record["distance"]),
-            path_texts=list(record["path_texts"]),
+            path_texts=[_shared(t, strings) for t in record["path_texts"]],
             path_edges=[StanceEdge(e) for e in record["path_edges"]],
             label=StanceLabel(record["label"]),
             same_stance=_same_stance_from_json(record["same_stance"]),
@@ -349,13 +356,19 @@ def _example_from_record(record: object) -> SpecificityExample | StanceExample:
 def read_pairs(
     stream: IO[str] | Iterable[str], source: str = "<pairs>"
 ) -> Iterator[SpecificityExample | StanceExample]:
-    """Examples from pairs lines; a bad line raises located_error(source, line)."""
+    """Examples from pairs lines; a bad line raises located_error(source, line).
+
+    Equal strings within one stream are one str object, so a claim text
+    that many examples hold is stored, and hashed by the per-text caches,
+    once.
+    """
+    strings: dict[str, str] = {}
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
             continue
         try:
-            example = _example_from_record(json.loads(line))
-        except (ValueError, KeyError, TypeError) as exc:
+            example = _example_from_record(json.loads(line), strings)
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise located_error(source, line_no, exc) from None
         yield example
 

@@ -623,6 +623,55 @@ def test_majority_scores_only_data_of_its_task(pipeline, tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "model, task, data",
+    [("majority", "stance", "stance_pairs"), ("length", "specificity", "specificity_pairs")],
+)
+def test_dev_on_a_baseline_is_usage_error(pipeline, tmp_path, capsys, model, task, data):
+    out = tmp_path / "m.ckpt"
+    capsys.readouterr()
+    code = main([
+        "train", "--model", model, "--task", task, "--train", str(pipeline[data]),
+        "--dev", str(tmp_path / "missing.jsonl"), "-o", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: --dev has no effect on the {model} baseline"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("train", ["missing", "directory"])
+def test_length_train_that_is_not_a_file_is_one_error(tmp_path, capsys, train):
+    path = tmp_path / "missing.jsonl" if train == "missing" else tmp_path
+    out = tmp_path / "m.ckpt"
+    capsys.readouterr()
+    code = main([
+        "train", "--model", "length", "--task", "specificity", "--train", str(path),
+        "-o", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {path}: not a file"
+    ]
+    assert not out.exists()
+
+
+def test_length_train_file_is_not_parsed(tmp_path):
+    path = tmp_path / "anything.txt"
+    path.write_bytes(b"\xff not pairs\n")
+    out = tmp_path / "m.ckpt"
+    code = main([
+        "train", "--model", "length", "--task", "specificity", "--train", str(path),
+        "-o", str(out),
+    ])
+    assert code == 0 and load_model(str(out)).kind == "length"
+
+
 def _one_located_error(capsys, code, path, line_no) -> str:
     """Exit 1 and a single `error:` line that starts with `<path>:<line>:`."""
     err = capsys.readouterr().err
@@ -655,8 +704,9 @@ def _set_field(name, value):
         ("specificity", 3, lambda line: "not json", "invalid JSON"),
         ("specificity", 2, _set_field("label", "sideways"), "'sideways'"),
         ("stance", 2, _set_field("path_edges", ["sideways"]), "'sideways'"),
+        ("stance", 3, _set_field("distance", 1e999), "cannot convert float infinity to integer"),
     ],
-    ids=["missing-field", "not-json", "unknown-label", "unknown-edge"],
+    ids=["missing-field", "not-json", "unknown-label", "unknown-edge", "infinite-distance"],
 )
 def test_bad_pairs_line_is_one_located_error(pipeline, tmp_path, capsys, task, line_no, edit, reason):
     path = tmp_path / "bad-pairs.jsonl"
@@ -677,8 +727,9 @@ def test_bad_pairs_line_is_one_located_error(pipeline, tmp_path, capsys, task, l
         (3, lambda line: "not json", "invalid JSON"),
         (2, _drop_field("label"), "missing field 'label'"),
         (2, _set_field("sparse", {"0": "many"}), "'many'"),
+        (3, _set_field("distance", 1e999), "cannot convert float infinity to integer"),
     ],
-    ids=["header-not-json", "not-json", "missing-field", "bad-value"],
+    ids=["header-not-json", "not-json", "missing-field", "bad-value", "infinite-distance"],
 )
 def test_bad_features_line_is_one_located_error(pipeline, tmp_path, capsys, line_no, edit, reason):
     path = tmp_path / "bad-features.jsonl"

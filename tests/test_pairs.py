@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import io
+import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from argtree.pairs import (
@@ -18,6 +19,7 @@ from argtree.pairs import (
     derive_stance_examples,
     derive_stance_label,
     read_pairs,
+    read_pairs_file,
     split_by_topic,
     write_pairs,
 )
@@ -217,3 +219,86 @@ def test_pairs_file_encodes_missing_same_stance_as_na(uniform_tree):
     buf = io.StringIO()
     write_pairs(examples, buf)
     assert '"same_stance": "n/a"' in buf.getvalue()
+
+
+# ------------------------------------------------------------- reader fuzz
+
+FUZZ = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+claim_texts = st.one_of(st.sampled_from(["A shared claim.", "Another claim."]), st.text(max_size=12))
+
+
+@st.composite
+def pair_examples(draw):
+    topic_id = draw(st.sampled_from(["t0", "t1"]))
+    same_stance = draw(st.sampled_from([None, True, False]))
+    if draw(st.booleans()):
+        return SpecificityExample(
+            topic_id, "c0", "c0.1", draw(claim_texts), draw(claim_texts),
+            draw(st.integers(1, 5)), draw(st.sampled_from(list(SpecificityLabel))), same_stance,
+        )
+    edges = draw(st.lists(st.sampled_from(list(StanceEdge)), min_size=1, max_size=4))
+    texts = draw(st.lists(claim_texts, min_size=len(edges) + 1, max_size=len(edges) + 1))
+    return StanceExample(
+        topic_id, "c0", "c0.1", len(edges), texts, edges, derive_stance_label(edges), same_stance
+    )
+
+
+def _strings(example) -> list[str]:
+    if isinstance(example, SpecificityExample):
+        return [example.topic_id, example.first_id, example.second_id,
+                example.first_text, example.second_text]
+    return [example.topic_id, example.a_id, example.b_id, *example.path_texts]
+
+
+def _pairs_lines(examples) -> list[str]:
+    buf = io.StringIO()
+    write_pairs(examples, buf)
+    # not splitlines(): the writer leaves U+2028 and the like unescaped inside a line
+    return buf.getvalue().split("\n")[:-1]
+
+
+@FUZZ
+@given(st.lists(pair_examples(), max_size=6))
+def test_pairs_file_round_trips_with_one_object_per_string(tmp_path, examples):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text("".join(line + "\n" for line in _pairs_lines(examples)), encoding="utf-8")
+    back = read_pairs_file(str(path))
+    assert back == examples
+    first_seen: dict[str, str] = {}
+    for example in back:
+        for value in _strings(example):
+            assert first_seen.setdefault(value, value) is value
+
+
+def _pairs_mutations(line: str):
+    record = json.loads(line)
+    yield from (line[:cut] for cut in range(0, len(line), max(1, len(line) // 7)))
+    for field in record:
+        yield json.dumps({k: v for k, v in record.items() if k != field})
+        for value in (None, 1e999, float("nan"), 2.5, "x", [], {}, ["x"]):
+            yield json.dumps(dict(record, **{field: value}))
+    yield from ("[1, 2]", '"row"', "3", "null")
+
+
+@FUZZ
+@given(st.lists(pair_examples(), min_size=1, max_size=4), st.data())
+def test_mutated_pairs_lines_parse_the_same_or_raise_one_located_error(tmp_path, examples, data):
+    """A file with one bad line reads as its lines read one by one, or fails at that line."""
+    lines = _pairs_lines(examples)
+    at = data.draw(st.integers(0, len(lines) - 1))
+    arbitrary = data.draw(st.text(st.characters(blacklist_characters="\r\n"), max_size=40))
+    path = tmp_path / "pairs.jsonl"
+    for mutated in [arbitrary, *_pairs_mutations(lines[at])]:
+        text = "".join(line + "\n" for line in lines[:at] + [mutated] + lines[at + 1 :])
+        path.write_text(text, encoding="utf-8")
+        try:
+            alone = list(read_pairs([mutated + "\n"], source=str(path)))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as excinfo:
+                read_pairs_file(str(path))
+            assert str(exc).startswith(f"{path}:1: ")
+            assert str(excinfo.value) == str(exc).replace(f"{path}:1: ", f"{path}:{at + 1}: ", 1)
+        else:
+            assert read_pairs_file(str(path)) == examples[:at] + alone + examples[at + 1 :]
