@@ -117,7 +117,7 @@ def read_vocabulary_file(path: str) -> Vocabulary:
                 min_count=int(record["min_count"]),
                 built_from=str(record["built_from"]),
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise located_error(path, None, exc) from None
 
 
@@ -492,9 +492,11 @@ class _Columns:
     full block moves into arrays, with its rows' entries sorted. The first
     out-of-range and the first repeated sparse index are kept, not raised,
     so that `table()` reports them after any error found in a later row.
+    Equal labels and topic ids share one str object (`strings`).
     """
 
     schema: FeatureSchema
+    strings: dict[str, str] = field(default_factory=dict)
     labels: list = field(default_factory=list)
     topic_ids: list = field(default_factory=list)
     distances: list = field(default_factory=list)
@@ -517,8 +519,8 @@ class _Columns:
         data: Iterable[float],
         dense: list[float],
     ) -> None:
-        self.labels.append(label)
-        self.topic_ids.append(topic_id)
+        self.labels.append(self.strings.setdefault(label, label))
+        self.topic_ids.append(self.strings.setdefault(topic_id, topic_id))
         self.distances.append(distance)
         self.same_stance.append(same_stance)
         size = len(self.indices)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from ..features import build_vocabulary, csr_matrix
+from ..features import build_vocabulary, csr_matrix, index_dtype
 from ..text import tokenize
 
 if TYPE_CHECKING:
@@ -138,6 +138,40 @@ class EncoderParams:
 
 
 @dataclass
+class PackedSequences:
+    """Packed sequences laid end to end in flat arrays.
+
+    Sequence k's token ids are ids[offsets[k]:offsets[k + 1]] and its
+    segments the same slice of `segments`; `lengths` and `second` (its
+    count of segment 1 tokens) are kept per sequence.
+    """
+
+    ids: np.ndarray
+    segments: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
+    second: np.ndarray
+
+    @classmethod
+    def concat(cls, sequences: Sequence[tuple[np.ndarray, np.ndarray]]) -> "PackedSequences":
+        lengths = np.array([len(ids) for ids, _ in sequences], dtype=np.int64)
+        offsets = np.zeros(len(sequences) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        empty = np.zeros(0, dtype=np.int64)  # so that no sequences concatenate too
+        ids = np.concatenate([empty, *(ids for ids, _ in sequences)])
+        segments = np.concatenate([empty, *(segments for _, segments in sequences)])
+        second = np.add.reduceat(segments, offsets[:-1])
+        return cls(ids=ids, segments=segments, offsets=offsets, lengths=lengths, second=second)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, key: int) -> tuple[np.ndarray, np.ndarray]:
+        rows = slice(self.offsets[key], self.offsets[key + 1])
+        return self.ids[rows], self.segments[rows]
+
+
+@dataclass
 class SequenceBatch:
     """Packed sequences as mean-pooling weights over the tokens they use.
 
@@ -155,16 +189,22 @@ class SequenceBatch:
         return self.tokens.shape[0]
 
 
-def batch_sequences(sequences: Sequence[tuple[np.ndarray, np.ndarray]]) -> SequenceBatch:
-    lengths = np.array([len(ids) for ids, _ in sequences], dtype=np.int64)
-    indptr = np.zeros(len(sequences) + 1, dtype=np.int64)
+def batch_sequences(packed: PackedSequences, keys: np.ndarray) -> SequenceBatch:
+    """The sequences `keys` of `packed`, in that order, as one batch."""
+    lengths = packed.lengths[keys]
+    total = int(lengths.sum())
+    dtype = index_dtype(total)
+    indptr = np.zeros(len(keys) + 1, dtype=dtype)
     np.cumsum(lengths, out=indptr[1:])
-    columns, indices = np.unique(
-        np.concatenate([ids for ids, _ in sequences]), return_inverse=True
-    )
+    # Each token's position in `packed`: its position in the batch plus the
+    # distance from its sequence's start there to its start in `packed`.
+    shift = np.repeat(packed.offsets[keys] - indptr[:-1], lengths)
+    columns, indices = np.unique(packed.ids[np.arange(total) + shift], return_inverse=True)
     weights = np.repeat(1.0 / lengths, lengths)
-    tokens = csr_matrix((weights, indices, indptr), shape=(len(sequences), len(columns)))
-    second = np.add.reduceat(np.concatenate([seg for _, seg in sequences]), indptr[:-1])
+    tokens = csr_matrix(
+        (weights, indices.astype(dtype, copy=False), indptr), shape=(len(keys), len(columns))
+    )
+    second = packed.second[keys]
     segments = np.stack([lengths - second, second], axis=1) / lengths[:, None]
     return SequenceBatch(tokens=tokens, columns=columns, segments=segments)
 

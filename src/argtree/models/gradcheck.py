@@ -20,7 +20,7 @@ from .encoder import EncoderVocab
 from .logreg import design_matrix, label_vector, loss_and_grad
 from .neural import (
     NeuralParams,
-    PackedExample,
+    PackedDataset,
     batch_loss_and_grads,
     dataset_loss,
     inference_chunks,
@@ -118,7 +118,7 @@ def _pack_paths(
     opposes: Sequence[bool],
     vocab: EncoderVocab,
     config: EncoderConfig,
-) -> list[PackedExample]:
+) -> PackedDataset:
     """Stance examples along `paths`, packed; an opposing path's first edge is con."""
     examples = []
     for texts, con in zip(paths, opposes):
@@ -138,7 +138,7 @@ def _pack_paths(
     return pack_dataset(kind, examples, vocab, config, ["opposes", "supports"])
 
 
-def _fixture_batch(kind: str, vocab: EncoderVocab, config: EncoderConfig) -> list[PackedExample]:
+def _fixture_batch(kind: str, vocab: EncoderVocab, config: EncoderConfig) -> PackedDataset:
     """Three paths; the third repeats a sequence of the first two.
 
     For path-hier the paths hold 2, 3 and 1 edges, and the single edge of
@@ -157,7 +157,7 @@ def _fixture_batch(kind: str, vocab: EncoderVocab, config: EncoderConfig) -> lis
     return _pack_paths(kind, paths, (True, False, False), vocab, config)
 
 
-def _one_edge_batch(vocab: EncoderVocab, config: EncoderConfig) -> list[PackedExample]:
+def _one_edge_batch(vocab: EncoderVocab, config: EncoderConfig) -> PackedDataset:
     """Four one-edge paths for path-hier, the fourth repeating the first.
 
     No GRU step carries a state, so the GRU skips its recurrent gradients.
@@ -198,7 +198,7 @@ def gradcheck_neural(
 def gradcheck_batch(
     kind: str,
     params: NeuralParams,
-    batch: Sequence[PackedExample],
+    batch: PackedDataset,
     l2: float = 1e-2,
     epsilon: float = EPSILON,
 ) -> GradCheckResult:

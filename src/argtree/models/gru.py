@@ -11,7 +11,10 @@ Every pass runs a whole batch of sequences at once (PackedSteps: sorted
 longest first, time-major, padding dropped), so each step is one matmul
 per gate over the sequences still running. The input products W x are
 computed for all steps in one matmul per gate, and the weight gradients
-are summed with one matmul per block after the backward scan.
+are summed with one matmul per block after the backward scan. z and r sit
+side by side in one buffer, so each step adds U h to both and takes both
+sigmoids in one pass; the scans write their temporaries into buffers
+allocated once per call.
 
 Terms that are exact zeros are not computed. The first step of a scan
 starts every running sequence from the zero state, so it skips the three
@@ -37,7 +40,7 @@ final state of the reverse scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,29 +81,27 @@ class PackedSteps:
     lengths never increase along the batch, the sequences that have a step
     t are a prefix 0..sizes[t]-1 of it, and their step-t inputs are the
     contiguous rows offsets[t]:offsets[t + 1] of `values`. len() is the
-    number of real steps.
+    number of real steps. The layout is computed once, at construction.
     """
 
     values: np.ndarray  # real steps x input
     lengths: np.ndarray  # batch, non-increasing, each >= 1
+    sizes: np.ndarray = field(init=False, repr=False)  # sequences with a step t
+    offsets: np.ndarray = field(init=False, repr=False)  # first row of step t
+    steps: list[tuple[slice, int]] = field(init=False, repr=False)  # (rows, sizes[t])
 
     def __post_init__(self) -> None:
         if self.lengths.size == 0 or self.lengths[-1] < 1 or np.any(np.diff(self.lengths) > 0):
             raise ValueError("sequence lengths must be positive and non-increasing")
         if self.values.shape[0] != self.lengths.sum():
             raise ValueError("one row of values per real step expected")
+        self.sizes = np.bincount(self.lengths - 1)[::-1].cumsum()[::-1]
+        self.offsets = np.concatenate([[0], self.sizes.cumsum()])
+        bounds = self.offsets.tolist()
+        self.steps = [(slice(a, b), b - a) for a, b in zip(bounds, bounds[1:])]
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """How many sequences have a step t, for t = 0..longest-1."""
-        return np.bincount(self.lengths - 1)[::-1].cumsum()[::-1]
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return np.concatenate([[0], self.sizes.cumsum()])
 
     def row(self, step: np.ndarray, sequence: np.ndarray) -> np.ndarray:
         """Row of `values` holding step `step` of sequence `sequence`."""
@@ -120,12 +121,7 @@ class GRUCache:
 
 def _scan(steps: PackedSteps, reverse: bool) -> list[tuple[slice, int]]:
     """(rows, running sequences) per step, in scan order."""
-    offsets = steps.offsets
-    order = [
-        (slice(offsets[t], offsets[t + 1]), offsets[t + 1] - offsets[t])
-        for t in range(len(offsets) - 1)
-    ]
-    return order[::-1] if reverse else order
+    return steps.steps[::-1] if reverse else steps.steps
 
 
 def gru_forward(params: GRUParams, steps: PackedSteps, reverse: bool = False) -> GRUCache:
@@ -136,29 +132,45 @@ def gru_forward(params: GRUParams, steps: PackedSteps, reverse: bool = False) ->
     """
     xs = steps.values
     hidden = params.hidden
-    (rows, n), *rest = _scan(steps, reverse)
-    wz = xs @ params.w_z.T + params.b_z
+    (rows, _), *rest = _scan(steps, reverse)
+    # z and r share one buffer, each row z then r. It starts as W x + b for
+    # every step, so a step adds U h to both gates and takes their sigmoid in
+    # one pass each; c likewise starts as W_h x + b_h.
+    gates = np.empty((len(xs), 2 * hidden))
+    z, r = gates[:, :hidden], gates[:, hidden:]
+    np.matmul(xs, params.w_z.T, out=z)
+    z += params.b_z
     if rest:
-        wr = xs @ params.w_r.T + params.b_r
-    wh = xs @ params.w_h.T + params.b_h
-    prev = np.empty((len(xs), hidden))
-    z = np.empty_like(prev)
-    r = np.empty_like(prev)
-    c = np.empty_like(prev)
+        np.matmul(xs, params.w_r.T, out=r)
+        r += params.b_r
+    c = xs @ params.w_h.T
+    c += params.b_h
+    prev = np.zeros((len(xs), hidden))
     h = np.empty_like(prev)
-    state = np.zeros((len(steps.lengths), hidden))
-    prev[rows] = 0.0
-    z[rows] = _sigmoid(wz[rows])
+    _sigmoid(z[rows], out=z[rows])
     r[rows] = 0.0
-    c[rows] = np.tanh(wh[rows])
-    h[rows] = state[:n] = z[rows] * c[rows]
-    for rows, n in rest:
-        prev[rows] = state[:n]
+    np.tanh(c[rows], out=c[rows])
+    np.multiply(z[rows], c[rows], out=h[rows])
+    products = np.empty((len(steps.lengths), 2 * hidden))  # U_z h, U_r h; then U_h (r * h)
+    scratch = np.empty((len(steps.lengths), hidden))
+    for (last, last_n), (rows, n) in zip(_scan(steps, reverse), rest):
+        # Sequences that ran the last step start from its state; in a
+        # reverse scan the ones that join here keep the zero state.
+        carried = min(n, last_n)
         p = prev[rows]
-        z[rows] = _sigmoid(wz[rows] + p @ params.u_z.T)
-        r[rows] = _sigmoid(wr[rows] + p @ params.u_r.T)
-        c[rows] = np.tanh(wh[rows] + (r[rows] * p) @ params.u_h.T)
-        h[rows] = state[:n] = (1.0 - z[rows]) * p + z[rows] * c[rows]
+        p[:carried] = h[last.start : last.start + carried]
+        zr, uh, tmp = gates[rows], products[:n], scratch[:n]
+        np.matmul(p, params.u_z.T, out=uh[:, :hidden])
+        np.matmul(p, params.u_r.T, out=uh[:, hidden:])
+        zr += uh
+        _sigmoid(zr, out=zr, work=uh)
+        zt, ct, ht = zr[:, :hidden], c[rows], h[rows]
+        ct += np.matmul(np.multiply(zr[:, hidden:], p, out=tmp), params.u_h.T, out=uh[:, :hidden])
+        np.tanh(ct, out=ct)
+        np.multiply(zt, ct, out=ht)
+        np.subtract(1.0, zt, out=tmp)
+        tmp *= p
+        ht += tmp
     return GRUCache(steps=steps, reverse=reverse, prev=prev, z=z, r=r, c=c, h=h)
 
 
@@ -177,23 +189,35 @@ def gru_backward(
     da_r = np.empty_like(prev)
     da_c = np.empty_like(prev)
     carry = np.zeros((len(cache.steps.lengths), params.hidden))
+    g_buffer, d_rh_buffer, scratch, z_buffer, r_buffer = np.empty((5, *carry.shape))
     *carrying, (first, first_n) = _scan(cache.steps, not cache.reverse)
     for rows, n in carrying:
-        g = dh[rows] + carry[:n]
-        zt, rt, ct, pt = z[rows], r[rows], c[rows], prev[rows]
-        da_c[rows] = g * zt * (1.0 - ct * ct)
-        d_rh = da_c[rows] @ params.u_h
-        da_r[rows] = d_rh * pt * rt * (1.0 - rt)
-        da_z[rows] = g * (ct - pt) * zt * (1.0 - zt)
-        carry[:n] = (
-            g * (1.0 - zt) + d_rh * rt + da_r[rows] @ params.u_r + da_z[rows] @ params.u_z
-        )
+        g = np.add(dh[rows], carry[:n], out=g_buffer[:n])
+        zt, rt, ct, pt, tmp = z[rows], r[rows], c[rows], prev[rows], scratch[:n]
+        dc = np.multiply(g, zt, out=da_c[rows])
+        dc *= np.subtract(1.0, np.multiply(ct, ct, out=tmp), out=tmp)
+        d_rh = np.matmul(dc, params.u_h, out=d_rh_buffer[:n])
+        one_minus_z = np.subtract(1.0, zt, out=z_buffer[:n])
+        dr = np.multiply(d_rh, pt, out=da_r[rows])
+        dr *= rt
+        dr *= np.subtract(1.0, rt, out=r_buffer[:n])
+        dz = np.subtract(ct, pt, out=da_z[rows])
+        dz *= g
+        dz *= zt
+        dz *= one_minus_z
+        out = np.multiply(g, one_minus_z, out=carry[:n])
+        out += np.multiply(d_rh, rt, out=tmp)
+        out += np.matmul(dr, params.u_r, out=tmp)
+        out += np.matmul(dz, params.u_z, out=tmp)
     # The scan's first step, walked last, started from the fixed zero state.
-    g = dh[first] + carry[:first_n]
-    zt, ct = z[first], c[first]
-    da_c[first] = g * zt * (1.0 - ct * ct)
+    g = np.add(dh[first], carry[:first_n], out=g_buffer[:first_n])
+    zt, ct, tmp = z[first], c[first], scratch[:first_n]
+    dc = np.multiply(g, zt, out=da_c[first])
+    dc *= np.subtract(1.0, np.multiply(ct, ct, out=tmp), out=tmp)
     da_r[first] = 0.0
-    da_z[first] = g * ct * zt * (1.0 - zt)
+    dz = np.multiply(g, ct, out=da_z[first])
+    dz *= zt
+    dz *= np.subtract(1.0, zt, out=tmp)
 
     xs = cache.steps.values
     grads.w_z += da_z.T @ xs

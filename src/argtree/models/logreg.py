@@ -64,10 +64,24 @@ def label_vector(table: FeatureTable, label_names: Sequence[str]) -> np.ndarray:
     return (np.array(table.labels, dtype=object) == label_names[1]).astype(np.float64)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(
+    z: np.ndarray, out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows.
+
+    The numerator is max(z >= 0, e^-|z|), as e^-|z| is at most 1 and a NaN
+    stays NaN. The result is written to `out` (which may be `z` itself) if
+    given, and `work` (shaped like z, if given) holds the numerator.
+    """
+    if out is None:
+        out = np.empty_like(z)
+    numerator = np.greater_equal(z, 0.0, out=np.empty_like(z) if work is None else work)
+    np.abs(z, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.maximum(numerator, out, out=numerator)
+    out += 1.0
+    return np.divide(numerator, out, out=out)
 
 
 def loss_and_grad(

@@ -17,9 +17,10 @@ Every forward and backward pass runs a whole minibatch at once (see
 Batch); dataset_loss and predict_packed run chunks of INFERENCE_CHUNK
 examples the same way, and train_neural lays its train and dev chunks out
 once for all epochs. pack_dataset packs each distinct edge or path once
-and keys it with an integer id. In a batch each distinct packed sequence is
-encoded once per encoder that reads it, and its gradient is the sum over
-the places that read it.
+into flat arrays (PackedDataset) and keys it with an integer id, and
+make_batch lays a batch out from those arrays with array operations. In a
+batch each distinct packed sequence is encoded once per encoder that reads
+it, and its gradient is the sum over the places that read it.
 
 All matrices initialize uniformly in +-1/sqrt(fan_in) with fan_in the
 column count; biases start at zero. L2 applies to 2-D blocks only.
@@ -44,6 +45,7 @@ from .encoder import (
     EncodeCache,
     EncoderParams,
     EncoderVocab,
+    PackedSequences,
     SequenceBatch,
     batch_sequences,
     build_encoder_vocab,
@@ -66,6 +68,7 @@ from .gru import (
 MODEL_KINDS = ("pair", "path-flat", "path-hier")
 
 Example = Union[SpecificityExample, StanceExample]
+IntOrArray = Union[int, np.ndarray]
 
 
 @dataclass
@@ -83,8 +86,9 @@ class NeuralParams:
             cls_b=np.zeros_like(self.cls_b),
         )
 
-    def encoder_index(self, position: int) -> int:
-        return min(position, len(self.encoders) - 1)
+    def encoder_index(self, position: IntOrArray) -> IntOrArray:
+        """The encoder that reads position `position` (or each of an array's)."""
+        return np.minimum(position, len(self.encoders) - 1)
 
     def encoder_for(self, position: int) -> EncoderParams:
         return self.encoders[self.encoder_index(position)]
@@ -169,16 +173,50 @@ def init_params(
 
 @dataclass
 class PackedExample:
-    """An example's packed sequences, in reading order, and its label.
-
-    `keys` holds one integer per sequence. Within the dataset the example
-    was packed with, two sequences share a key iff their token ids and
-    segments are equal.
-    """
+    """One example of a PackedDataset: its packed sequences, in reading
+    order, their keys and its label."""
 
     sequences: list[tuple[np.ndarray, np.ndarray]]
     keys: list[int]
     label_index: int
+
+
+@dataclass
+class PackedDataset:
+    """Examples packed for the batched kernels.
+
+    `sequences` holds each distinct packed sequence once; its index there
+    is its key, so two sequences share a key iff their token ids and
+    segments are equal. Row i of `keys` holds example i's keys in reading
+    order, padded with -1 past its `counts[i]` sequences. Indexing with an
+    int gives that example as a PackedExample; with a slice or an array
+    of indices, those examples over the same `sequences`.
+    """
+
+    sequences: PackedSequences
+    keys: np.ndarray  # examples x most sequences per example
+    counts: np.ndarray  # sequences per example
+    labels: np.ndarray  # label index per example
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(
+        self, index: Union[int, slice, np.ndarray]
+    ) -> Union[PackedExample, "PackedDataset"]:
+        if isinstance(index, (int, np.integer)):
+            keys = self.keys[index, : self.counts[index]].tolist()
+            return PackedExample(
+                sequences=[self.sequences[key] for key in keys],
+                keys=keys,
+                label_index=int(self.labels[index]),
+            )
+        return PackedDataset(
+            self.sequences, self.keys[index], self.counts[index], self.labels[index]
+        )
+
+    def __iter__(self) -> Iterator[PackedExample]:
+        return (self[i] for i in range(len(self)))
 
 
 def example_texts(example: Example) -> list[str]:
@@ -217,7 +255,7 @@ def pack_dataset(
     vocab: EncoderVocab,
     config: EncoderConfig,
     label_names: Sequence[str],
-) -> list[PackedExample]:
+) -> PackedDataset:
     """Pack each distinct edge or path of the examples once.
 
     Repeated texts share one packed sequence, keyed by the bytes of its
@@ -225,32 +263,37 @@ def pack_dataset(
     to PAD, truncation cuts claims) share a key as well.
     """
     index = {name: i for i, name in enumerate(label_names)}
-    by_texts: dict[tuple[str, ...], tuple[int, tuple[np.ndarray, np.ndarray]]] = {}
+    by_texts: dict[tuple[str, ...], int] = {}
     by_bytes: dict[bytes, int] = {}
-    packed = []
+    distinct: list[tuple[np.ndarray, np.ndarray]] = []
+    keys: list[int] = []
+    counts: list[int] = []
+    labels: list[int] = []
     for example in examples:
         label = example.label.value
         if label not in index:
             raise ValueError(f"unknown label {label!r}")
-        units = []
-        for texts in _sequence_texts(kind, example, config.pair_order):
-            unit = by_texts.get(texts)
-            if unit is None:
+        labels.append(index[label])
+        sequence_texts = _sequence_texts(kind, example, config.pair_order)
+        for texts in sequence_texts:
+            key = by_texts.get(texts)
+            if key is None:
                 if kind == "path-flat":
                     ids, segments = pack_path_flat(vocab, texts, config.truncate)
                 else:
                     ids, segments = pack_pair(vocab, texts[0], texts[1], config.truncate)
-                key = by_bytes.setdefault(ids.tobytes() + segments.tobytes(), len(by_bytes))
-                unit = by_texts[texts] = (key, (ids, segments))
-            units.append(unit)
-        packed.append(
-            PackedExample(
-                sequences=[sequence for _, sequence in units],
-                keys=[key for key, _ in units],
-                label_index=index[label],
-            )
-        )
-    return packed
+                key = by_bytes.setdefault(ids.tobytes() + segments.tobytes(), len(distinct))
+                if key == len(distinct):
+                    distinct.append((ids, segments))
+                by_texts[texts] = key
+            keys.append(key)
+        counts.append(len(sequence_texts))
+    count_array = np.array(counts, dtype=np.int64)
+    table = np.full((len(examples), max(counts, default=0)), -1, dtype=np.int64)
+    table[np.arange(table.shape[1]) < count_array[:, None]] = keys
+    return PackedDataset(
+        PackedSequences.concat(distinct), table, count_array, np.array(labels, dtype=np.int64)
+    )
 
 
 # Examples per forward pass in dataset_loss and predict_packed. Larger
@@ -268,7 +311,8 @@ class Batch:
     sequence) of the batch is encoded once: `groups` holds one
     SequenceBatch per encoder, and their outputs stacked in group order
     form the rows that `slots` gathers from. The slots are the real steps
-    in time-major order, the row order of PackedSteps.
+    in time-major order, the row order of PackedSteps. Within a group the
+    rows keep the order in which that walk first reaches them.
     """
 
     order: np.ndarray
@@ -278,31 +322,34 @@ class Batch:
     labels: np.ndarray
 
 
-def make_batch(params: NeuralParams, packed: Sequence[PackedExample]) -> Batch:
-    lengths = np.array([len(example.sequences) for example in packed], dtype=np.int64)
-    order = np.argsort(-lengths, kind="stable")
-    ordered = [packed[i] for i in order]
-    rows: list[dict[int, int]] = [{} for _ in params.encoders]
-    sequences: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in params.encoders]
-    keys: list[tuple[int, int]] = []
-    for t in range(lengths.max()):
-        encoder = params.encoder_index(t)
-        for example in ordered:
-            if len(example.sequences) <= t:
-                break
-            key = example.keys[t]
-            row = rows[encoder].get(key)
-            if row is None:
-                row = rows[encoder][key] = len(sequences[encoder])
-                sequences[encoder].append(example.sequences[t])
-            keys.append((encoder, row))
-    offsets = np.cumsum([0] + [len(seqs) for seqs in sequences])
+def make_batch(params: NeuralParams, packed: PackedDataset) -> Batch:
+    order = np.argsort(-packed.counts, kind="stable")
+    lengths = packed.counts[order]
+    # The real steps in time-major order: step t of every example that has one.
+    keys = packed.keys[order, : lengths[0]].T
+    real = np.arange(lengths[0])[:, None] < lengths
+    step_keys = keys[real]
+    encoders = params.encoder_index(np.nonzero(real)[0])
+    # The walk reaches the encoders in order, so sorting the distinct
+    # (encoder, key) pairs by first sight groups them by encoder as well.
+    _, first, inverse = np.unique(
+        encoders * len(packed.sequences) + step_keys, return_index=True, return_inverse=True
+    )
+    seen = np.argsort(first)
+    rows = np.empty_like(seen)
+    rows[seen] = np.arange(len(seen))
+    row_keys = step_keys[first[seen]]
+    bounds = np.searchsorted(encoders[first[seen]], np.arange(len(params.encoders) + 1))
     return Batch(
         order=order,
-        lengths=lengths[order],
-        groups=[(e, batch_sequences(seqs)) for e, seqs in enumerate(sequences) if seqs],
-        slots=np.array([offsets[e] + row for e, row in keys], dtype=np.int64),
-        labels=np.array([example.label_index for example in ordered], dtype=np.int64),
+        lengths=lengths,
+        groups=[
+            (e, batch_sequences(packed.sequences, row_keys[start:stop]))
+            for e, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+            if stop > start
+        ],
+        slots=rows[inverse],
+        labels=packed.labels[order],
     )
 
 
@@ -382,39 +429,56 @@ def _l2_penalty(params: NeuralParams, l2: float) -> float:
     return 0.5 * l2 * total
 
 
+@dataclass
+class GradientBuffer:
+    """Gradients of `params`, each block paired with its parameter block once.
+
+    The training loop keeps one buffer for all its minibatches; `pairs`
+    holds (parameter, gradient) per block, in the canonical order.
+    """
+
+    grads: NeuralParams
+    pairs: list[tuple[np.ndarray, np.ndarray]]
+
+    @classmethod
+    def for_params(cls, params: NeuralParams) -> "GradientBuffer":
+        grads = params.zeros_like()
+        return cls(grads, list(zip(params.blocks().values(), grads.blocks().values())))
+
+
 def batch_loss_and_grads(
     kind: str,
     params: NeuralParams,
-    batch: Sequence[PackedExample],
+    batch: PackedDataset,
     l2: float,
-    grads: Optional[NeuralParams] = None,
+    buffer: Optional[GradientBuffer] = None,
 ) -> tuple[Optional[float], NeuralParams]:
     """Mean cross-entropy over the batch plus L2 on 2-D blocks, and its gradients.
 
-    Given `grads`, the gradients overwrite it and the loss is not computed
-    (None): the training loop reuses one buffer and reads only gradients.
+    Given a `buffer` for `params`, the gradients overwrite its blocks and
+    the loss is not computed (None): the training loop reuses one buffer
+    and reads only gradients.
     """
-    want_loss = grads is None
-    if grads is None:
-        grads = params.zeros_like()
+    want_loss = buffer is None
+    if buffer is None:
+        buffer = GradientBuffer.for_params(params)
     else:
-        for gblock in grads.blocks().values():
+        for _, gblock in buffer.pairs:
             gblock.fill(0.0)
     laid_out = make_batch(params, batch)
     cache = forward_batch(kind, params, laid_out)
-    backward_batch(kind, params, laid_out, cache, grads)
+    backward_batch(kind, params, laid_out, cache, buffer.grads)
     if l2 != 0.0:
-        param_blocks = params.blocks()
-        for name, gblock in grads.blocks().items():
+        for block, gblock in buffer.pairs:
             if gblock.ndim == 2:
-                gblock += l2 * param_blocks[name]
+                gblock += l2 * block
     if not want_loss:
-        return None, grads
+        return None, buffer.grads
     data_loss = _cross_entropy_sum(cache, laid_out.labels) / len(batch)
-    return data_loss + _l2_penalty(params, l2), grads
+    return data_loss + _l2_penalty(params, l2), buffer.grads
 
 
-def inference_chunks(params: NeuralParams, packed: Sequence[PackedExample]) -> Iterator[Batch]:
+def inference_chunks(params: NeuralParams, packed: PackedDataset) -> Iterator[Batch]:
     """The examples laid out INFERENCE_CHUNK at a time, in order.
 
     The layout depends on the parameters' shapes only, so a caller that
@@ -428,7 +492,7 @@ def inference_chunks(params: NeuralParams, packed: Sequence[PackedExample]) -> I
 def dataset_loss(
     kind: str,
     params: NeuralParams,
-    packed: Sequence[PackedExample],
+    packed: PackedDataset,
     l2: float,
     chunks: Optional[Sequence[Batch]] = None,
 ) -> float:
@@ -441,7 +505,7 @@ def dataset_loss(
 def predict_packed(
     kind: str,
     params: NeuralParams,
-    packed: Sequence[PackedExample],
+    packed: PackedDataset,
     chunks: Optional[Sequence[Batch]] = None,
 ) -> np.ndarray:
     out = np.zeros(len(packed), dtype=np.int64)
@@ -495,27 +559,22 @@ def train_neural(
         raise ValueError(f"expected exactly 2 classes, got {label_names}")
     packed_train = pack_dataset(kind, train_examples, vocab, encoder_config, label_names)
     packed_dev = None
-    dev_labels = None
     if dev_examples:
         packed_dev = pack_dataset(kind, dev_examples, vocab, encoder_config, label_names)
-        dev_labels = np.array([p.label_index for p in packed_dev])
 
     params = init_params(kind, vocab.size, encoder_config, train_config.seed)
     train_chunks = list(inference_chunks(params, packed_train))
     dev_chunks = list(inference_chunks(params, packed_dev)) if packed_dev is not None else None
-    grads = params.zeros_like()  # one buffer, overwritten by every minibatch
-    grad_blocks = grads.blocks()
-    updates = [(block, grad_blocks[name]) for name, block in params.blocks().items()]
+    buffer = GradientBuffer.for_params(params)  # overwritten by every minibatch
 
     def step(batch_indices: np.ndarray) -> None:
-        batch = [packed_train[i] for i in batch_indices]
-        batch_loss_and_grads(kind, params, batch, train_config.l2, grads)
-        for block, gblock in updates:
+        batch_loss_and_grads(kind, params, packed_train[batch_indices], train_config.l2, buffer)
+        for block, gblock in buffer.pairs:
             block -= train_config.learning_rate * gblock
 
     def dev_accuracy() -> float:
         predictions = predict_packed(kind, params, packed_dev, dev_chunks)
-        return float(np.mean(predictions == dev_labels))
+        return float(np.mean(predictions == packed_dev.labels))
 
     best_params, history = fit(
         train_config,

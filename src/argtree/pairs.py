@@ -235,7 +235,7 @@ def read_split_file(path: str) -> TopicSplit:
                 seed=int(record["seed"]),
                 ratios=tuple(record["ratios"]),
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise located_error(path, None, exc) from None
 
 

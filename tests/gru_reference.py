@@ -4,7 +4,8 @@ This is the scan that `argtree.models.gru` ran before it learned to skip
 work whose result is known: every step multiplies its previous state by
 U_z, U_r and U_h, even where that state is the zero initial state, and the
 backward scan computes a carry at every step, including the last one,
-whose carry nothing reads. The tests compare the library's states and
+whose carry nothing reads. Its sigmoid is the np.where form, not the
+library's in-place one. The tests compare the library's states and
 gradients with these loops bit for bit.
 """
 
@@ -13,7 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from argtree.models.gru import GRUCache, GRUParams, PackedSteps, _scan
-from argtree.models.logreg import _sigmoid
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def gru_forward(params: GRUParams, steps: PackedSteps, reverse: bool = False) -> GRUCache:

@@ -384,11 +384,12 @@ def test_criterion_6_path_context_helps_stance(marker_run, capsys):
         f"{model} " + " ".join(f"d{d}={acc(model, d):.4f}" for d in (1, 2, 3, 4))
         for model in ("pair", "path-flat", "path-hier")
     )
+    per_model = ", ".join(f"{model} {seconds[model]:.1f}s" for model in seconds)
     _verdict(
         capsys,
         "CRITERION 6 (path context helps stance)",
         not problems,
-        f"{summary}; counts {counts}; training {total_training:.0f}s"
+        f"{summary}; counts {counts}; training {total_training:.0f}s ({per_model})"
         + (f"; FAILED: {problems}" if problems else ""),
     )
 

@@ -762,8 +762,10 @@ def _one_file_error(capsys, code, path) -> str:
         ('{"schema": "argtree-vocab/1", "min_count": 1, "built_from": "x", "tokens": 5}',
          "tokens must be a list of strings"),
         ('{"schema": "argtree-vocab/0", "tokens": []}', "schema mismatch"),
+        ('{"schema": "argtree-vocab/1", "min_count": 1e999, "built_from": "x", "tokens": []}',
+         "cannot convert float infinity to integer"),
     ],
-    ids=["missing-tokens", "list", "not-json", "tokens-not-list", "schema"],
+    ids=["missing-tokens", "list", "not-json", "tokens-not-list", "schema", "infinite-min-count"],
 )
 def test_bad_vocabulary_file_is_one_file_error(pipeline, tmp_path, capsys, content, reason):
     path = tmp_path / "v.json"
@@ -815,13 +817,15 @@ def test_bad_lexicon_or_embeddings_row_is_one_located_error(
         (lambda record: [record], "expected a JSON object"),
         (lambda record: dict(record, dev="abc"), "dev must be a list of strings"),
         (lambda record: dict(record, seed="x"), "'x'"),
+        (lambda record: dict(record, seed=1e999), "cannot convert float infinity to integer"),
     ],
-    ids=["missing-train", "list", "dev-not-list", "bad-seed"],
+    ids=["missing-train", "list", "dev-not-list", "bad-seed", "infinite-seed"],
 )
 def test_bad_split_file_is_one_file_error(pipeline, tmp_path, capsys, edit, reason):
     path = tmp_path / "s.json"
     record = json.loads(pipeline["split"].read_text(encoding="utf-8"))
-    path.write_text(json.dumps(edit(record)) + "\n", encoding="utf-8")
+    # json.dumps writes an infinite float as Infinity; write it as the number 1e999
+    path.write_text(json.dumps(edit(record)).replace("Infinity", "1e999") + "\n", encoding="utf-8")
     capsys.readouterr()
     code = main([
         "derive-pairs", str(pipeline["corpus"]), "--task", "stance",

@@ -97,6 +97,16 @@ def _assert_matches_reference(path: str) -> FeatureTable:
     return table
 
 
+def test_equal_labels_and_topic_ids_read_as_one_object(tmp_path):
+    """The reader keeps one str per distinct label and topic id, not one per row."""
+    table = read_features_file(_write(tmp_path, _header(), _rows(BLOCK_ROWS + 5)))
+    assert len(set(table.topic_ids)) < len(table) // 10
+    for column in (table.labels, table.topic_ids):
+        first_seen: dict[str, str] = {}
+        for value in column:
+            assert first_seen.setdefault(value, value) is value
+
+
 @pytest.mark.parametrize(
     "count",
     [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1],

@@ -35,6 +35,12 @@ from argtree.pairs import (
     derive_stance_examples,
 )
 from argtree.trees import StanceEdge
+from document_fuzz import (
+    DOCUMENT_FUZZ,
+    arbitrary_text,
+    assert_parses_or_one_file_error,
+    document_mutations,
+)
 from features_reference import table_records
 
 
@@ -100,6 +106,28 @@ def test_vocabulary_file_round_trip(tmp_path):
     back = read_vocabulary_file(path)
     assert back.token_to_index == vocab.token_to_index
     assert back.min_count == vocab.min_count
+
+
+@DOCUMENT_FUZZ
+@given(
+    st.lists(st.text(max_size=6), unique=True, max_size=8),
+    st.integers(min_value=0, max_value=2**63),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=10),
+    arbitrary_text,
+)
+def test_vocabulary_file_round_trips_and_bad_input_is_one_file_error(
+    tmp_path, tokens, min_count, built_from, arbitrary
+):
+    vocab = Vocabulary(
+        token_to_index={t: i for i, t in enumerate(tokens)},
+        min_count=min_count,
+        built_from=built_from,
+    )
+    path = tmp_path / "vocab.json"
+    write_vocabulary_file(vocab, str(path))
+    assert read_vocabulary_file(str(path)) == vocab
+    for text in [arbitrary, *document_mutations(path.read_text(encoding="utf-8"))]:
+        assert_parses_or_one_file_error(read_vocabulary_file, path, text)
 
 
 # ----------------------------------------------------------------- lexicon

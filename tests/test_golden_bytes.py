@@ -11,6 +11,11 @@ A logistic regression trained on the `both` features, its evaluation
 report and its significance test against the majority baseline are pinned
 too; those digests were recorded before the columnar feature table
 replaced the per-record feature lists.
+
+The three neural kinds trained on the stance pairs are pinned as well
+(path-hier twice: a shared encoder read top down, and one encoder per
+position read bottom up). Those digests were recorded before the
+minibatch layout moved from per-sequence arrays to flat packed arrays.
 """
 
 from __future__ import annotations
@@ -68,6 +73,33 @@ GOLDEN_SHA256 = {
 TRAINED_SHA256 = {
     "logreg.ckpt": "0c3fa8e7f3231ebea5a5d558ddfddba61aa9a9818ce134168c965e82c55b3dba",
     "logreg.report.json": "66803f16cd5656ed9175e44e513bc005be38e627182cd00a4c933930d2a2fc11",
+}
+
+NEURAL_CONF = """\
+dim = 12
+hidden = 10
+truncate = 12
+min_count = 1
+batch_size = 16
+max_epochs = 3
+patience = 0
+"""
+
+NEURAL_RUNS = {
+    "pair.ckpt": ("pair", ""),
+    "path-flat.ckpt": ("path-flat", ""),
+    "path-hier.ckpt": ("path-hier", ""),
+    "path-hier-unshared.ckpt": (
+        "path-hier", "share_encoder = false\nmax_positions = 2\npair_order = bottom_up\n"
+    ),
+}
+
+NEURAL_SHA256 = {
+    "pair.ckpt": "74f590bce0cc107438b3387be3e1f4cbb316567cc8290ce36de0d6b4a1c444cd",
+    "path-flat.ckpt": "c352a5af7b29a96929a37b9a708740227ff781564ab0b6502f4b1537ee727d29",
+    "path-hier.ckpt": "bf0f6b9fd8cf163f581439cca5e2ced55ea959174e61f38d8947fed5497c73e5",
+    "path-hier-unshared.ckpt": "3987a7a537c52633100138dcb739af13f0b64b67e036a16374158254406c2b14",
+    "path-hier.report.json": "99a9199d56c8a0fa61a673a154e38548074c9322bb23d6932ab2fa749cc1263a",
 }
 
 SIGNIFICANCE_STDOUT = """\
@@ -178,6 +210,34 @@ def test_trained_file_bytes_are_pinned(trained, name):
 def test_significance_stdout_is_pinned(trained):
     _, stdout = trained
     assert stdout == SIGNIFICANCE_STDOUT
+
+
+@pytest.fixture(scope="module")
+def neural_trained(derived):
+    """Each neural kind trained on the stance pairs, which also serve as dev."""
+    with contextlib.chdir(derived):
+        for name, (kind, extra) in NEURAL_RUNS.items():
+            conf = f"{name}.conf"
+            with open(conf, "w", encoding="utf-8") as handle:
+                handle.write(NEURAL_CONF + extra)
+            argv = [
+                "train", "--model", kind, "--task", "stance", "--seed", "5", "--config", conf,
+                "--train", "stance-pairs.jsonl", "--dev", "stance-pairs.jsonl", "-o", name,
+            ]
+            assert main(argv) == 0, f"argtree train --model {kind} failed"
+        argv = [
+            "evaluate", "--model", "path-hier.ckpt", "--test", "stance-pairs.jsonl",
+            "--json", "path-hier.report.json", "-o", "path-hier.csv",
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    return derived
+
+
+@pytest.mark.parametrize("name", sorted(NEURAL_SHA256))
+def test_neural_file_bytes_are_pinned(neural_trained, name):
+    digest = hashlib.sha256((neural_trained / name).read_bytes()).hexdigest()
+    assert digest == NEURAL_SHA256[name]
 
 
 def _reference_ids(vocab: EncoderVocab, text: str, truncate: int) -> list[int]:

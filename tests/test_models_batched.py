@@ -169,7 +169,7 @@ def test_predictions_ignore_order_and_chunking(kind, monkeypatch):
     for chunk in (1, 5, 64):
         monkeypatch.setattr(neural, "INFERENCE_CHUNK", chunk)
         assert np.array_equal(predict_packed(kind, params, packed), baseline)
-        shuffled = predict_packed(kind, params, [packed[i] for i in permutation])
+        shuffled = predict_packed(kind, params, packed[permutation])
         assert np.array_equal(shuffled, baseline[permutation])
 
 

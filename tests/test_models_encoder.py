@@ -15,6 +15,7 @@ from argtree.models.encoder import (
     PAD_ID,
     SEP_ID,
     EncoderVocab,
+    PackedSequences,
     batch_sequences,
     build_encoder_vocab,
     encode,
@@ -28,6 +29,11 @@ from argtree.text import tokenize
 
 
 VOCAB = EncoderVocab(tokens=["alpha", "beta", "gamma"])
+
+
+def _batch(sequences):
+    """The sequences as one batch, in the given order."""
+    return batch_sequences(PackedSequences.concat(sequences), np.arange(len(sequences)))
 
 
 def test_vocab_ids_start_after_specials():
@@ -129,7 +135,7 @@ def test_encode_is_mean_pool_then_tanh():
     params = init_params("pair", VOCAB.size, config, seed=0)
     enc = params.encoders[0]
     ids, segments = pack_pair(VOCAB, "alpha", "beta", truncate=8)
-    cache = encode(enc, batch_sequences([(ids, segments)]))
+    cache = encode(enc, _batch([(ids, segments)]))
     pool = (enc.tok_emb[ids].sum(axis=0) + enc.seg_emb[segments].sum(axis=0)) / len(ids)
     assert cache.pool[0] == pytest.approx(pool)
     assert cache.h[0] == pytest.approx(np.tanh(enc.proj_w @ pool + enc.proj_b))
@@ -140,8 +146,8 @@ def test_encode_deterministic_for_same_input():
     config = EncoderConfig(dim=8, hidden=8, min_count=1)
     params = init_params("pair", VOCAB.size, config, seed=3)
     ids, segments = pack_pair(VOCAB, "alpha gamma", "beta", truncate=8)
-    h1 = encode(params.encoders[0], batch_sequences([(ids, segments)])).h
-    h2 = encode(params.encoders[0], batch_sequences([(ids, segments)])).h
+    h1 = encode(params.encoders[0], _batch([(ids, segments)])).h
+    h2 = encode(params.encoders[0], _batch([(ids, segments)])).h
     assert np.array_equal(h1, h2)
 
 
@@ -153,8 +159,29 @@ def test_batch_pools_each_sequence_by_its_own_length():
         pack_pair(VOCAB, "gamma", "gamma unknown alpha", truncate=8),
         pack_path_flat(VOCAB, ["beta", "alpha", "gamma"], truncate=8),
     ]
-    cache = encode(enc, batch_sequences(sequences))
+    cache = encode(enc, _batch(sequences))
     for row, (ids, segments) in enumerate(sequences):
-        single = encode(enc, batch_sequences([(ids, segments)]))
+        single = encode(enc, _batch([(ids, segments)]))
         np.testing.assert_allclose(cache.pool[row], single.pool[0], rtol=0, atol=1e-15)
         np.testing.assert_allclose(cache.h[row], single.h[0], rtol=0, atol=1e-15)
+
+
+def test_batch_takes_the_keyed_sequences_in_key_order():
+    config = EncoderConfig(dim=8, hidden=8, min_count=1)
+    enc = init_params("pair", VOCAB.size, config, seed=5).encoders[0]
+    sequences = [
+        pack_pair(VOCAB, "alpha", "beta beta", truncate=8),
+        pack_path_flat(VOCAB, ["gamma", "alpha", "beta"], truncate=8),
+        pack_pair(VOCAB, "beta unknown", "gamma", truncate=8),
+    ]
+    packed = PackedSequences.concat(sequences)
+    assert packed.lengths.tolist() == [len(ids) for ids, _ in sequences]
+    assert packed.second.tolist() == [int(segments.sum()) for _, segments in sequences]
+    for key, (ids, segments) in enumerate(sequences):
+        assert packed[key][0].tolist() == ids.tolist()
+        assert packed[key][1].tolist() == segments.tolist()
+    keys = np.array([2, 0, 2])
+    got = encode(enc, batch_sequences(packed, keys))
+    want = encode(enc, _batch([sequences[k] for k in keys]))
+    assert got.pool.tobytes() == want.pool.tobytes()
+    assert got.h.tobytes() == want.h.tobytes()

@@ -8,6 +8,7 @@ import pytest
 from argtree.features import FeatureRecord, FeatureSchema, FeatureTable
 from argtree.models import TrainConfig, TrainingDivergedError, train_logreg
 from argtree.models.logreg import (
+    _sigmoid,
     design_matrix,
     label_vector,
     loss_and_grad,
@@ -74,6 +75,28 @@ def test_label_vector_uses_sorted_positive_class():
     with pytest.raises(ValueError):
         other = FeatureTable.from_records(_schema(), [_record("other", {}, 0.0)])
         label_vector(other, ["neg", "pos"])
+
+
+def test_sigmoid_has_the_bits_of_the_where_form():
+    """In place or not, _sigmoid gives what exp(-|z|) and np.where give.
+
+    A NaN stays NaN; its sign bit is left to the platform's ufunc loops.
+    """
+    rng = np.random.default_rng(0)
+    z = np.concatenate(
+        [
+            rng.normal(scale=20.0, size=500),
+            [0.0, -0.0, np.nan, np.inf, -np.inf, 745.0, -745.0, 1e-300, -1e-300],
+        ]
+    )
+    e = np.exp(-np.abs(z))
+    expected = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    in_place = z.copy()
+    _sigmoid(in_place, out=in_place, work=np.empty_like(z))
+    for got in (_sigmoid(z), in_place):
+        assert np.array_equal(np.isnan(got), np.isnan(z))
+        number = ~np.isnan(z)
+        assert got[number].tobytes() == expected[number].tobytes()
 
 
 def test_first_gradient_step_from_zero_weights():

@@ -15,16 +15,25 @@ from argtree.pairs import (
     SpecificityLabel,
     StanceExample,
     StanceLabel,
+    TopicSplit,
     derive_specificity_examples,
     derive_stance_examples,
     derive_stance_label,
     read_pairs,
     read_pairs_file,
+    read_split_file,
     split_by_topic,
     write_pairs,
+    write_split,
 )
 from argtree.synth import stance_oracle
 from argtree.trees import StanceEdge, build_tree, node_depth
+from document_fuzz import (
+    DOCUMENT_FUZZ,
+    arbitrary_text,
+    assert_parses_or_one_file_error,
+    document_mutations,
+)
 
 
 # ---------------------------------------------------------------- stance label
@@ -192,6 +201,29 @@ def test_split_property_partition(n, seed):
     split = split_by_topic(topics, ratios=(0.5, 0.25, 0.25), seed=seed)
     assert len(split.train) + len(split.dev) + len(split.test) == n
     assert split.train | split.dev | split.test == set(topics)
+
+
+@DOCUMENT_FUZZ
+@given(
+    st.lists(st.text(max_size=8), unique=True, max_size=9),
+    st.integers(min_value=-(2**63), max_value=2**63),
+    st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+    arbitrary_text,
+)
+def test_split_file_round_trips_and_bad_input_is_one_file_error(
+    tmp_path, topics, seed, ratios, arbitrary
+):
+    split = TopicSplit(
+        train=frozenset(topics[::3]), dev=frozenset(topics[1::3]), test=frozenset(topics[2::3]),
+        seed=seed, ratios=ratios,
+    )
+    buf = io.StringIO()
+    write_split(split, buf)
+    path = tmp_path / "split.json"
+    path.write_text(buf.getvalue(), encoding="utf-8")
+    assert read_split_file(str(path)) == split
+    for text in [arbitrary, *document_mutations(buf.getvalue())]:
+        assert_parses_or_one_file_error(read_split_file, path, text)
 
 
 # ------------------------------------------------------------- round trips
