@@ -15,6 +15,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -328,6 +329,8 @@ def cmd_split(args: argparse.Namespace) -> int:
         raise UsageError(f"bad --ratios {args.ratios!r}") from None
     if len(ratios) != 3:
         raise UsageError("--ratios needs exactly three comma-separated numbers")
+    if not all(math.isfinite(r) for r in ratios):
+        raise UsageError(f"--ratios must be finite numbers, got {args.ratios!r}")
     trees = corpus_io.parse_corpus_file(args.corpus)
     split = split_by_topic([tree.topic_id for tree in trees], ratios=ratios, seed=seed)
     _atomic_write(args.out, lambda handle: write_split(split, handle))
@@ -343,12 +346,16 @@ def cmd_derive_pairs(args: argparse.Namespace) -> int:
     _log_effective_config("derive-pairs", config, seed)
     if (args.split is None) != (args.part is None):
         raise UsageError("--split and --part must be given together")
+    max_distance = args.max_distance
+    if max_distance is None:
+        max_distance = DEFAULT_MAX_DISTANCE[args.task]
+    elif max_distance < 1:
+        raise UsageError(f"--max-distance must be at least 1, got {max_distance}")
     trees = corpus_io.parse_corpus_file(args.corpus)
     if args.split:
         split = read_split_file(args.split)
         keep = split.part(args.part)
         trees = [tree for tree in trees if tree.topic_id in keep]
-    max_distance = args.max_distance or DEFAULT_MAX_DISTANCE[args.task]
     with _walking_corpus(args.corpus):
         if args.task == "specificity":
             examples = list(
@@ -526,13 +533,14 @@ def _reports_from_csv_files(paths: Sequence[str]) -> list[EvalReport]:
             reader = csv.DictReader(handle)
             if reader.fieldnames is None or set(_STRATA_CSV_FIELDS) - set(reader.fieldnames):
                 raise ValueError(f"{path}: not an evaluation CSV (missing columns)")
-            for row in reader:
+            rows = 0
+            for rows, row in enumerate(reader, start=1):
                 try:
                     _add_report_row(reports, row)
                 except ValueError as exc:
                     raise located_error(path, reader.line_num, exc) from None
-    if not reports:
-        raise ValueError("no evaluation rows found")
+            if not rows:
+                raise ValueError(f"{path}: no evaluation rows")
     return list(reports.values())
 
 
@@ -638,14 +646,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         prog="argtree",
         description="Argument-tree corpora, derived claim-pair tasks, and models over them.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="seed (overrides config/env)")
-    common.add_argument("--config", default=None, help="flat key = value config file")
+    # each command takes --seed and --config only if it reads them
+    seed_flag = argparse.ArgumentParser(add_help=False)
+    seed_flag.add_argument("--seed", type=int, default=None, help="seed (overrides config/env)")
+    config_flag = argparse.ArgumentParser(add_help=False)
+    config_flag.add_argument("--config", default=None, help="flat key = value config file")
+    both = (seed_flag, config_flag)
     subparsers = parser.add_subparsers(dest="command", metavar="<command>")
     registry: dict[str, argparse.ArgumentParser] = {}
 
-    def sub(name: str, handler, help_text: str) -> argparse.ArgumentParser:
-        p = subparsers.add_parser(name, parents=[common], help=help_text)
+    def sub(name: str, handler, help_text: str, *flags) -> argparse.ArgumentParser:
+        p = subparsers.add_parser(name, parents=list(flags), help=help_text)
         p.set_defaults(handler=handler)
         registry[name] = p
         return p
@@ -664,16 +675,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--tags", default="", help="comma-separated tags")
     p.add_argument("-o", "--out", required=True, help="output corpus file")
 
-    p = sub("synth", cmd_synth, "generate a seeded synthetic corpus with planted signals")
+    p = sub("synth", cmd_synth, "generate a seeded synthetic corpus with planted signals", *both)
     p.add_argument("-o", "--out", required=True, help="output corpus file")
     p.add_argument("--ledger", default=None, help="also write the generation ledger here")
 
-    p = sub("split", cmd_split, "topic-disjoint train/dev/test split")
+    p = sub("split", cmd_split, "topic-disjoint train/dev/test split", *both)
     p.add_argument("corpus", help="corpus file")
     p.add_argument("--ratios", default="0.6,0.2,0.2", help="train,dev,test fractions")
     p.add_argument("-o", "--out", required=True, help="output split file")
 
-    p = sub("derive-pairs", cmd_derive_pairs, "derive labeled claim-pair examples")
+    p = sub("derive-pairs", cmd_derive_pairs, "derive labeled claim-pair examples", *both)
     p.add_argument("corpus", help="corpus file")
     p.add_argument("--task", required=True, choices=["specificity", "stance"])
     p.add_argument(
@@ -686,7 +697,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--part", default=None, choices=["train", "dev", "test"])
     p.add_argument("-o", "--out", required=True, help="output pairs file")
 
-    p = sub("featurize", cmd_featurize, "turn pairs into feature records")
+    p = sub("featurize", cmd_featurize, "turn pairs into feature records", *both)
     p.add_argument("pairs", help="derived-pairs file")
     p.add_argument("--task", required=True, choices=["specificity", "stance"])
     p.add_argument(
@@ -705,7 +716,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     p.add_argument("-o", "--out", required=True, help="output features file")
 
-    p = sub("train", cmd_train, "fit a model and write a checkpoint")
+    p = sub("train", cmd_train, "fit a model and write a checkpoint", *both)
     p.add_argument(
         "--model",
         required=True,
@@ -727,13 +738,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--json", default=None, help="also write the full report as JSON here")
     p.add_argument("-o", "--out", required=True, help="output CSV (one row per stratum)")
 
-    p = sub("significance", cmd_significance, "paired t-test between two checkpoints")
+    p = sub("significance", cmd_significance, "paired t-test between two checkpoints", config_flag)
     p.add_argument("--model-a", required=True, help="first checkpoint")
     p.add_argument("--model-b", required=True, help="second checkpoint")
     p.add_argument("--test", required=True, help="shared test data")
     p.add_argument("--alpha", type=float, default=None, help="significance level (default 0.05)")
 
-    p = sub("gradcheck", cmd_gradcheck, "verify analytic gradients on tiny fixtures")
+    p = sub("gradcheck", cmd_gradcheck, "verify analytic gradients on tiny fixtures", seed_flag)
     p.add_argument(
         "--model",
         default=None,

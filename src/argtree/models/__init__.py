@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import typing
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .config import (
     TrainingDivergedError,
     neural_train_config,
 )
-from .encoder import EncoderParams, EncoderVocab, build_encoder_vocab
+from .encoder import EncoderVocab, build_encoder_vocab
 from .gradcheck import (
     LOGREG_TOLERANCE,
     NEURAL_TOLERANCE,
@@ -35,23 +35,25 @@ from .gradcheck import (
     gradcheck_logreg,
     gradcheck_neural,
 )
-from .gru import GRU_BLOCK_NAMES, BiGRUParams, GRUParams
 from .logreg import LogisticRegressionModel, train_logreg
-from .neural import MODEL_KINDS, NeuralModel, NeuralParams, train_neural
+from .neural import (
+    MODEL_KINDS,
+    NeuralModel,
+    NeuralParams,
+    encoder_count,
+    param_layout,
+    train_neural,
+)
 
 AnyModel = Union[MajorityBaseline, LengthBaseline, LogisticRegressionModel, NeuralModel]
 
 __all__ = [
     "AnyModel",
-    "BiGRUParams",
     "CheckpointFormatError",
     "EncoderConfig",
-    "EncoderParams",
     "EncoderVocab",
     "EpochStats",
     "GradCheckResult",
-    "GRUParams",
-    "GRU_BLOCK_NAMES",
     "LengthBaseline",
     "LogisticRegressionModel",
     "LOGREG_TOLERANCE",
@@ -140,58 +142,91 @@ class _Entries(dict):
     def __missing__(self, key: str):
         raise CheckpointFormatError(f"missing {self.what} {key!r}")
 
+    def check_types(self, types: dict[str, tuple[Callable[[object], bool], str]]) -> "_Entries":
+        """Self, once each entry that `types` names and the section holds is
+        valid; one that is not is a format error naming it."""
+        for key, (valid, what) in types.items():
+            if key in self and not valid(self[key]):
+                raise CheckpointFormatError(f"{self.what} {key!r} must be {what}")
+        return self
 
-def _neural_params_from_blocks(blocks: _Entries, hier: bool) -> NeuralParams:
-    if "enc/tok_emb" in blocks:
-        prefixes = ["enc"]
-    else:
-        ids = sorted(
-            int(name[3:].split("/")[0]) for name in blocks if name.startswith("enc") and "/tok_emb" in name
-        )
-        prefixes = [f"enc{i}" for i in ids]
-    if not prefixes:
-        raise CheckpointFormatError("checkpoint has no encoder blocks")
-    encoders = [
-        EncoderParams(
-            tok_emb=blocks[f"{p}/tok_emb"],
-            seg_emb=blocks[f"{p}/seg_emb"],
-            proj_w=blocks[f"{p}/proj_w"],
-            proj_b=blocks[f"{p}/proj_b"],
-        )
-        for p in prefixes
-    ]
-    gru = None
-    if hier:
-        gru = BiGRUParams(
-            fwd=GRUParams(**{n: blocks[f"gru_fwd/{n}"] for n in GRU_BLOCK_NAMES}),
-            bwd=GRUParams(**{n: blocks[f"gru_bwd/{n}"] for n in GRU_BLOCK_NAMES}),
-        )
-    return NeuralParams(encoders=encoders, gru=gru, cls_w=blocks["cls/w"], cls_b=blocks["cls/b"])
+
+def _of(kind: type) -> Callable[[object], bool]:
+    return lambda value: isinstance(value, kind)
+
+
+def _list_of(kind: type) -> Callable[[object], bool]:
+    return lambda value: isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
+def _is_history(rows: object) -> bool:
+    number, accuracy = _list_of((int, float)), _list_of((int, float, type(None)))
+    return _list_of(list)(rows) and all(
+        len(row) == 3 and number(row[:2]) and accuracy(row[2:]) for row in rows
+    )
+
+
+_META_TYPES = {
+    **dict.fromkeys(("task", "label", "feature_set"), (_of(str), "a string")),
+    **dict.fromkeys(
+        ("label_names", "sparse_names", "dense_names", "tokens"),
+        (_list_of(str), "a list of strings"),
+    ),
+    "counts": (lambda c: _of(dict)(c) and _list_of(int)(list(c.values())), "an object of counts"),
+    "history": (_is_history, "a list of [epoch, loss, accuracy] rows"),
+    "encoder_config": (_of(dict), "an object"),
+}
+
+
+def _check_shapes(shapes: dict[str, tuple], blocks: _Entries) -> None:
+    """Every block of the layout `shapes` is in the file with its shape, and
+    no other block is. Shapes compare as the file's rows x columns: the
+    reader gives a one-row block as a vector."""
+    extra = [name for name in blocks if name not in shapes]
+    if extra:
+        raise CheckpointFormatError(f"unexpected block {extra[0]!r}")
+    for name, shape in shapes.items():
+        got, want = np.atleast_2d(blocks[name]).shape, ((1,) + shape)[-2:]
+        if got != want:
+            raise CheckpointFormatError(
+                f"block {name!r} is {got[0]} x {got[1]}, expected {want[0]} x {want[1]}"
+            )
 
 
 def load_model(path: str) -> AnyModel:
     """Load any checkpoint that save_model writes.
 
-    A block or meta key that the model needs and the file lacks is a
-    CheckpointFormatError that names the file and the entry.
+    The model's layout (param_layout for the neural kinds) comes from its
+    meta and is filled from the blocks. A meta key the model needs and the
+    file lacks or holds with a value of the wrong type (_META_TYPES), and a
+    block that is missing, extra or of another shape, is a
+    CheckpointFormatError that names the file and the entry; an
+    encoder_config that EncoderConfig.validate rejects is one that names
+    the file.
     """
     kind, seed, blocks, meta = read_checkpoint(path)
     try:
-        return _model_from(kind, seed, _Entries("block", blocks), _Entries("meta key", meta))
-    except CheckpointFormatError as exc:
+        meta = _Entries("meta key", meta).check_types(_META_TYPES)
+        return _model_from(kind, seed, _Entries("block", blocks), meta)
+    except ValueError as exc:  # CheckpointFormatError among them
         raise CheckpointFormatError(f"{path}: {exc}") from None
 
 
 def _model_from(kind: str, seed: int, blocks: _Entries, meta: _Entries) -> AnyModel:
     if kind == "majority":
+        _check_shapes({}, blocks)
         return MajorityBaseline(
             label=meta["label"],
             counts={k: int(v) for k, v in meta["counts"].items()},
             task=meta["task"],
         )
     if kind == "length":
+        _check_shapes({}, blocks)
         return LengthBaseline(task=meta["task"])
     if kind == "logreg":
+        dense = (len(meta["dense_names"]),)
+        weights = (len(meta["sparse_names"]) + dense[0],)
+        _check_shapes(dict(weights=weights, bias=(1,), dense_mean=dense, dense_std=dense), blocks)
         return LogisticRegressionModel(
             task=meta["task"],
             feature_set=meta["feature_set"],
@@ -206,16 +241,26 @@ def _model_from(kind: str, seed: int, blocks: _Entries, meta: _Entries) -> AnyMo
             history=_history_from_meta(meta.get("history", [])),
         )
     if kind in MODEL_KINDS:
-        raw = _Entries("encoder_config key", meta["encoder_config"])
         types = typing.get_type_hints(EncoderConfig)
+        raw = _Entries("encoder_config key", meta["encoder_config"])
+        raw.check_types({name: (_of(t), t.__name__) for name, t in types.items()})
         config = EncoderConfig(**{name: cast(raw[name]) for name, cast in types.items()})
+        config.validate()
+        vocab = EncoderVocab(tokens=list(meta["tokens"]))
+        # The meta's sizes must fit the file's blocks before the layout is allocated.
+        if (encoders := encoder_count(kind, config)) > len(blocks):
+            raise CheckpointFormatError(f"encoder_config asks for {encoders} encoders")
+        params = param_layout(kind, vocab.size, config, zeros=tuple)
+        _check_shapes(params.blocks(), blocks)
+        for name, holder, attribute in params.slots():
+            setattr(holder, attribute, blocks[name].reshape(getattr(holder, attribute)))
         return NeuralModel(
             kind=kind,
             task=meta["task"],
             label_names=list(meta["label_names"]),
-            vocab=EncoderVocab(tokens=list(meta["tokens"])),
+            vocab=vocab,
             encoder_config=config,
-            params=_neural_params_from_blocks(blocks, hier=kind == "path-hier"),
+            params=params,
             seed=seed,
             history=_history_from_meta(meta.get("history", [])),
         )

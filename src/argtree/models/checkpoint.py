@@ -11,8 +11,9 @@ Layout:
 
 Floats are written with repr(), which round-trips IEEE doubles exactly, so
 the same arrays always give the same bytes. One-dimensional arrays are
-stored as a single row and any one-row block loads back as a vector; no
-model here uses a genuine 1 x n matrix. Lines end at "\\n" only.
+stored as a single row, and the reader gives any one-row block back as a
+vector; load_model gives each block the shape of its model's layout, so
+a 1 x n matrix and a vector of n both round-trip. Lines end at "\\n" only.
 
 The reader streams the file and parses each block with one numpy call, so
 its cost is float parsing; the writer joins one row at a time, so its cost

@@ -34,7 +34,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -93,82 +93,77 @@ class NeuralParams:
     def encoder_for(self, position: int) -> EncoderParams:
         return self.encoders[self.encoder_index(position)]
 
-    def blocks(self) -> dict[str, np.ndarray]:
-        """Named views of every parameter array, in a canonical order."""
-        out: dict[str, np.ndarray] = {}
+    def slots(self) -> Iterator[tuple[str, object, str]]:
+        """(name, holder, attribute) of every parameter array, in a canonical order."""
         if len(self.encoders) == 1:
             prefixes = ["enc"]
         else:
             prefixes = [f"enc{i}" for i in range(len(self.encoders))]
         for prefix, enc in zip(prefixes, self.encoders):
-            out[f"{prefix}/tok_emb"] = enc.tok_emb
-            out[f"{prefix}/seg_emb"] = enc.seg_emb
-            out[f"{prefix}/proj_w"] = enc.proj_w
-            out[f"{prefix}/proj_b"] = enc.proj_b
+            for attribute in ("tok_emb", "seg_emb", "proj_w", "proj_b"):
+                yield f"{prefix}/{attribute}", enc, attribute
         if self.gru is not None:
             for direction, params in (("gru_fwd", self.gru.fwd), ("gru_bwd", self.gru.bwd)):
                 for name in GRU_BLOCK_NAMES:
-                    out[f"{direction}/{name}"] = getattr(params, name)
-        out["cls/w"] = self.cls_w
-        out["cls/b"] = self.cls_b
-        return out
+                    yield f"{direction}/{name}", params, name
+        yield "cls/w", self, "cls_w"
+        yield "cls/b", self, "cls_b"
+
+    def blocks(self) -> dict[str, np.ndarray]:
+        """Named views of every parameter array, in a canonical order."""
+        return {name: getattr(holder, attribute) for name, holder, attribute in self.slots()}
 
     def parameter_count(self) -> int:
         return sum(block.size for block in self.blocks().values())
 
 
-def _uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    bound = 1.0 / math.sqrt(cols)
-    return rng.uniform(-bound, bound, size=(rows, cols))
+def encoder_count(kind: str, config: EncoderConfig) -> int:
+    """path-hier without a shared encoder has one encoder per position up to
+    max_positions; every other model has one."""
+    return config.max_positions if kind == "path-hier" and not config.share_encoder else 1
 
 
-def _init_gru(rng: np.random.Generator, hidden: int, input_dim: int) -> GRUParams:
-    return GRUParams(
-        w_z=_uniform(rng, hidden, input_dim),
-        u_z=_uniform(rng, hidden, hidden),
-        b_z=np.zeros(hidden),
-        w_r=_uniform(rng, hidden, input_dim),
-        u_r=_uniform(rng, hidden, hidden),
-        b_r=np.zeros(hidden),
-        w_h=_uniform(rng, hidden, input_dim),
-        u_h=_uniform(rng, hidden, hidden),
-        b_h=np.zeros(hidden),
-    )
+def param_layout(
+    kind: str, vocab_size: int, config: EncoderConfig, zeros: Callable = np.zeros
+) -> NeuralParams:
+    """Zero parameters of a `kind` model: the name and shape of every block.
+
+    init_params fills the layout from a seed. `zeros` makes each block from
+    its shape tuple; with `tuple` the layout holds the bare shapes, which
+    load_model checks against a checkpoint and replaces with its blocks.
+    """
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    dim, hidden = config.dim, config.hidden
+    encoders = [
+        EncoderParams(
+            tok_emb=zeros((vocab_size, dim)),
+            seg_emb=zeros((2, dim)),
+            proj_w=zeros((dim, dim)),
+            proj_b=zeros((dim,)),
+        )
+        for _ in range(encoder_count(kind, config))
+    ]
+    if kind != "path-hier":
+        return NeuralParams(encoders, None, cls_w=zeros((2, dim)), cls_b=zeros((2,)))
+    shapes = {"w": (hidden, dim), "u": (hidden, hidden), "b": (hidden,)}
+    fwd, bwd = ({n: zeros(shapes[n[0]]) for n in GRU_BLOCK_NAMES} for _ in range(2))
+    gru = BiGRUParams(fwd=GRUParams(**fwd), bwd=GRUParams(**bwd))
+    return NeuralParams(encoders, gru, cls_w=zeros((2, 2 * hidden)), cls_b=zeros((2,)))
 
 
 def init_params(
     kind: str, vocab_size: int, config: EncoderConfig, seed: int
 ) -> NeuralParams:
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
+    """The layout with each matrix drawn uniformly in +-1/sqrt(columns), one seeded
+    generator in blocks() order; vectors stay zero."""
+    params = param_layout(kind, vocab_size, config)
     rng = np.random.default_rng(seed)
-    encoder_count = 1
-    if kind == "path-hier" and not config.share_encoder:
-        encoder_count = config.max_positions
-    encoders = []
-    for _ in range(encoder_count):
-        encoders.append(
-            EncoderParams(
-                tok_emb=_uniform(rng, vocab_size, config.dim),
-                seg_emb=_uniform(rng, 2, config.dim),
-                proj_w=_uniform(rng, config.dim, config.dim),
-                proj_b=np.zeros(config.dim),
-            )
-        )
-    gru = None
-    cls_input = config.dim
-    if kind == "path-hier":
-        gru = BiGRUParams(
-            fwd=_init_gru(rng, config.hidden, config.dim),
-            bwd=_init_gru(rng, config.hidden, config.dim),
-        )
-        cls_input = 2 * config.hidden
-    return NeuralParams(
-        encoders=encoders,
-        gru=gru,
-        cls_w=_uniform(rng, 2, cls_input),
-        cls_b=np.zeros(2),
-    )
+    for block in params.blocks().values():
+        if block.ndim == 2:
+            bound = 1.0 / math.sqrt(block.shape[1])
+            block[...] = rng.uniform(-bound, bound, size=block.shape)
+    return params
 
 
 @dataclass

@@ -64,7 +64,7 @@ def derive_stance_label(path_edges: Sequence[StanceEdge]) -> StanceLabel:
     """Supports iff the path carries an even number of con edges."""
     if not path_edges:
         raise ValueError("empty path")
-    con = sum(1 for edge in path_edges if edge is StanceEdge.CON)
+    con = path_edges.count(StanceEdge.CON)
     return StanceLabel.SUPPORTS if con % 2 == 0 else StanceLabel.OPPOSES
 
 
@@ -170,7 +170,8 @@ def split_by_topic(
         raise ValueError("duplicate topic ids")
     if len(topic_ids) < 3:
         raise ValueError("fewer topics than splits")
-    if abs(sum(ratios) - 1.0) > 1e-9 or any(r < 0 for r in ratios):
+    # written so that a NaN ratio fails it too
+    if not (all(r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
         raise ValueError(f"ratios must be non-negative and sum to 1, got {ratios!r}")
     ordered = sorted(topic_ids)
     random.Random(seed).shuffle(ordered)
@@ -340,7 +341,7 @@ def _example_from_record(
             same_stance=_same_stance_from_json(record["same_stance"]),
         )
     if task == "stance":
-        return StanceExample(
+        example = StanceExample(
             topic_id=_shared(record["topic_id"], strings),
             a_id=_shared(record["a_id"], strings),
             b_id=_shared(record["b_id"], strings),
@@ -350,13 +351,33 @@ def _example_from_record(
             label=StanceLabel(record["label"]),
             same_stance=_same_stance_from_json(record["same_stance"]),
         )
+        _check_path(example)
+        return example
     raise ValueError(f"unknown task {task!r}")
+
+
+def _check_path(example: StanceExample) -> None:
+    """The path, its distance and its label agree, as derive_stance_examples makes them."""
+    claims, edges = len(example.path_texts), len(example.path_edges)
+    if claims < 2:
+        raise ValueError(f"path_texts holds {claims} claim(s), fewer than 2")
+    if edges != claims - 1:
+        raise ValueError(f"path_edges holds {edges} edge(s) for {claims} claims")
+    if example.distance != edges:
+        raise ValueError(f"distance {example.distance} is not the path's {edges} edge(s)")
+    if example.label is not derive_stance_label(example.path_edges):
+        raise ValueError(
+            f"label {example.label.value!r} disagrees with the con edges of path_edges"
+        )
 
 
 def read_pairs(
     stream: IO[str] | Iterable[str], source: str = "<pairs>"
 ) -> Iterator[SpecificityExample | StanceExample]:
     """Examples from pairs lines; a bad line raises located_error(source, line).
+
+    A stance record is bad as well when its path, distance and label
+    disagree (see _check_path).
 
     Equal strings within one stream are one str object, so a claim text
     that many examples hold is stored, and hashed by the per-text caches,

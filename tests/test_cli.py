@@ -16,7 +16,13 @@ import argtree.cli
 from argtree.cli import main
 from argtree.corpus_io import parse_corpus_file
 from argtree.features import read_features_file
-from argtree.models import load_model
+from argtree.models import (
+    EncoderConfig,
+    load_model,
+    neural_train_config,
+    save_model,
+    train_neural,
+)
 from argtree.pairs import read_pairs_file, read_split_file
 
 SYNTH_CONFIG = """\
@@ -330,6 +336,15 @@ def test_bad_report_row_is_one_located_error(pipeline, tmp_path, capsys, edit, l
     assert not out.exists()
 
 
+def test_report_csv_without_rows_is_one_file_error(pipeline, tmp_path, capsys):
+    path = _report_input(pipeline, tmp_path, lambda lines: lines[:1])
+    out = tmp_path / "wide.csv"
+    capsys.readouterr()
+    code = main(["report", str(pipeline["majority_csv"]), str(path), "-o", str(out)])
+    assert _one_file_error(capsys, code, path) == f"error: {path}: no evaluation rows"
+    assert not out.exists()
+
+
 def test_significance_output_shape(pipeline, capsys):
     code = main([
         "significance", "--model-a", str(pipeline["majority_ckpt"]),
@@ -540,10 +555,44 @@ def test_missing_config_file_is_usage_error(tmp_path):
     assert code == 2
 
 
-def test_bad_ratios_are_usage_errors(pipeline, tmp_path):
+def test_bad_ratios_are_usage_errors(pipeline, tmp_path, capsys):
     out = str(tmp_path / "split.json")
     assert main(["split", str(pipeline["corpus"]), "--ratios", "0.5,0.5", "-o", out]) == 2
     assert main(["split", str(pipeline["corpus"]), "--ratios", "a,b,c", "-o", out]) == 2
+    for ratios in ("nan,0.5,0.5", "inf,0,0", "0.5,-inf,0.5"):
+        capsys.readouterr()
+        assert main(["split", str(pipeline["corpus"]), "--ratios", ratios, "-o", out]) == 2
+        assert "error: --ratios must be finite numbers" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_max_distance_below_one_is_usage_error(pipeline, tmp_path, capsys, value):
+    out = tmp_path / "pairs.jsonl"
+    code = main([
+        "derive-pairs", str(pipeline["corpus"]), "--task", "stance", "--max-distance", value,
+        "-o", str(out),
+    ])
+    assert code == 2
+    assert f"error: --max-distance must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+READS_SEED = {"synth", "split", "derive-pairs", "featurize", "train", "gradcheck"}
+READS_CONFIG = {"synth", "split", "derive-pairs", "featurize", "train", "significance"}
+
+
+def test_seed_and_config_are_offered_only_where_read(capsys):
+    _, registry = argtree.cli.build_parser()
+    assert READS_SEED | READS_CONFIG < set(registry)
+    for name, parser in registry.items():
+        usage = parser.format_usage()
+        assert ("--seed" in usage) == (name in READS_SEED), name
+        assert ("--config" in usage) == (name in READS_CONFIG), name
+    with pytest.raises(SystemExit) as excinfo:
+        main(["validate", "--config", "missing.conf", "corpus.jsonl"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_split_without_part_is_usage_error(pipeline, tmp_path):
@@ -697,6 +746,14 @@ def _set_field(name, value):
     return lambda line: json.dumps(dict(json.loads(line), **{name: value}))
 
 
+def _change_field(name, change):
+    def edit(line):
+        record = json.loads(line)
+        return json.dumps(dict(record, **{name: change(record[name])}))
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "task, line_no, edit, reason",
     [
@@ -705,8 +762,16 @@ def _set_field(name, value):
         ("specificity", 2, _set_field("label", "sideways"), "'sideways'"),
         ("stance", 2, _set_field("path_edges", ["sideways"]), "'sideways'"),
         ("stance", 3, _set_field("distance", 1e999), "cannot convert float infinity to integer"),
+        ("stance", 2, _change_field("path_texts", lambda texts: texts[:1]),
+         "path_texts holds 1 claim(s), fewer than 2"),
+        ("stance", 2, _change_field("path_edges", lambda edges: edges + edges), "edge(s) for"),
+        ("stance", 2, _change_field("distance", lambda distance: distance + 1),
+         "is not the path's"),
+        ("stance", 2, _change_field("label", {"supports": "opposes", "opposes": "supports"}.get),
+         "disagrees with the con edges of path_edges"),
     ],
-    ids=["missing-field", "not-json", "unknown-label", "unknown-edge", "infinite-distance"],
+    ids=["missing-field", "not-json", "unknown-label", "unknown-edge", "infinite-distance",
+         "one-claim-path", "edge-count", "distance", "label-parity"],
 )
 def test_bad_pairs_line_is_one_located_error(pipeline, tmp_path, capsys, task, line_no, edit, reason):
     path = tmp_path / "bad-pairs.jsonl"
@@ -911,6 +976,129 @@ def test_checkpoint_without_a_block_is_one_file_error(pipeline, tmp_path, capsys
         "-o", str(tmp_path / "e.csv"),
     ])
     assert "'dense_std'" in _one_file_error(capsys, code, path)
+
+
+@pytest.mark.parametrize("dim, hidden", [(1, 1), (1, 4), (6, 1)])
+@pytest.mark.parametrize("kind", ["pair", "path-flat", "path-hier"])
+def test_one_wide_model_trains_evaluates_and_loads(pipeline, tmp_path, kind, dim, hidden):
+    """dim or hidden 1 makes 1 x n matrices, which a checkpoint stores as one row, as it
+    stores a vector: the loader must give them back their shape."""
+    conf = tmp_path / "net.conf"
+    conf.write_text(f"max_epochs = 1\ndim = {dim}\nhidden = {hidden}\nmin_count = 1\n",
+                    encoding="utf-8")
+    path = tmp_path / f"{kind}.ckpt"
+    assert main(["train", "--model", kind, "--task", "stance", "--seed", "3",
+                 "--config", str(conf), "--train", str(pipeline["stance_pairs"]),
+                 "-o", str(path)]) == 0
+    assert main(["evaluate", "--model", str(path), "--test", str(pipeline["stance_test"]),
+                 "-o", str(tmp_path / "e.csv")]) == 0
+    model = train_neural(
+        kind, "stance", read_pairs_file(str(pipeline["stance_pairs"])),
+        encoder_config=EncoderConfig(dim=dim, hidden=hidden, min_count=1),
+        train_config=neural_train_config(max_epochs=1, seed=3),
+    )
+    save_model(model, str(tmp_path / "same.ckpt"))
+    assert (tmp_path / "same.ckpt").read_bytes() == path.read_bytes()
+    test = read_pairs_file(str(pipeline["stance_test"]))
+    assert load_model(str(path)).predict_labels(test) == model.predict_labels(test)
+
+
+@pytest.fixture(scope="module")
+def path_hier_ckpt(pipeline, tmp_path_factory):
+    path = tmp_path_factory.mktemp("hier") / "path-hier.ckpt"
+    assert main([
+        "train", "--model", "path-hier", "--task", "stance", "--seed", "3",
+        "--config", str(pipeline["train_config"]), "--train", str(pipeline["stance_pairs"]),
+        "-o", str(path),
+    ]) == 0
+    return path
+
+
+def _edited_block(name, rows=None, cols=None):
+    """An edit of a checkpoint's lines that keeps only `rows` rows and `cols`
+    values per row of block `name`, with a header that agrees."""
+
+    def edit(lines):
+        start = next(i for i, line in enumerate(lines) if line.startswith(f"[block {name} "))
+        old_rows, old_cols = map(int, lines[start][1:-1].split(" ")[2:])
+        keep_rows = old_rows if rows is None else rows(old_rows)
+        keep_cols = old_cols if cols is None else cols(old_cols)
+        body = [" ".join(row.split(" ")[:keep_cols]) for row in lines[start + 1 :][:keep_rows]]
+        header = f"[block {name} {keep_rows} {keep_cols}]"
+        return lines[:start] + [header] + body + lines[start + 1 + old_rows :]
+
+    return edit
+
+
+def _edited_meta(**changes):
+    """An edit of a checkpoint's lines that sets meta keys, or keys of its
+    encoder_config, to the values given."""
+
+    def edit(lines):
+        meta = json.loads(lines[-1])
+        for key, value in changes.items():
+            (meta["encoder_config"] if key in meta.get("encoder_config", {}) else meta)[key] = value
+        return lines[:-1] + [json.dumps(meta)]
+
+    return edit
+
+
+def _extra_block(lines):
+    meta = lines.index("[meta]")
+    return lines[:meta] + ["[block cls/extra 1 1]", "0.5"] + lines[meta:]
+
+
+@pytest.mark.parametrize(
+    "checkpoint, test, edit, reason",
+    [
+        ("pair_ckpt", "stance_test", _edited_block("enc/proj_b", cols=lambda c: c - 1),
+         "block 'enc/proj_b' is 1 x 15, expected 1 x 16"),
+        ("pair_ckpt", "stance_test", _edited_block("enc/tok_emb", rows=lambda r: r - 1),
+         "block 'enc/tok_emb' is "),
+        ("pair_ckpt", "stance_test", _extra_block, "unexpected block 'cls/extra'"),
+        ("logreg_ckpt", "specificity_features", _edited_block("weights", cols=lambda c: c - 1),
+         "block 'weights' is 1 x "),
+        ("logreg_ckpt", "specificity_features", _edited_block("dense_std", cols=lambda c: c - 1),
+         "block 'dense_std' is 1 x "),
+        ("logreg_ckpt", "specificity_features", _edited_block("dense_std"), None),
+        ("pair_ckpt", "stance_test",
+         lambda lines: lines[:-1] + [lines[-1].replace('"dim": 16,', '"dim": -1,')],
+         "dim, hidden and truncate must be positive"),
+        ("pair_ckpt", "stance_test", _edited_meta(dim=100_000), "block 'enc/tok_emb' is "),
+        ("path_hier_ckpt", "stance_test", _edited_meta(share_encoder=False, max_positions=10**9),
+         "encoder_config asks for 1000000000 encoders"),
+        ("path_hier_ckpt", "stance_test", _edited_meta(hidden=100_000), "block 'gru_fwd/w_z' is "),
+        ("pair_ckpt", "stance_test", _edited_meta(dim="16"), "encoder_config key 'dim'"),
+        ("pair_ckpt", "stance_test", _edited_meta(tokens=5), "meta key 'tokens'"),
+        ("pair_ckpt", "stance_test", _edited_meta(label_names=["supports", 1]),
+         "meta key 'label_names'"),
+        ("path_hier_ckpt", "stance_test", _edited_meta(history=[[1, 0.5]]), "meta key 'history'"),
+        ("majority_ckpt", "stance_test", _edited_meta(counts=5), "meta key 'counts'"),
+        ("majority_ckpt", "stance_test", _edited_meta(counts={"supports": None}),
+         "meta key 'counts'"),
+        ("logreg_ckpt", "specificity_features", _edited_meta(sparse_names="abc"),
+         "meta key 'sparse_names'"),
+        ("logreg_ckpt", "specificity_features", _edited_meta(task=None), "meta key 'task'"),
+    ],
+    ids=["neural-vector", "neural-matrix", "extra-block", "logreg-weights", "logreg-dense-std",
+         "unedited", "negative-dim", "huge-dim", "huge-max-positions", "huge-hidden",
+         "dim-not-an-int", "tokens-not-a-list", "label-names-not-strings", "short-history-row",
+         "counts-not-an-object", "count-not-an-int", "names-not-a-list", "task-not-a-string"],
+)
+def test_checkpoint_that_misfits_its_model_is_one_file_error(
+    pipeline, request, tmp_path, capsys, checkpoint, test, edit, reason
+):
+    source = pipeline.get(checkpoint) or request.getfixturevalue(checkpoint)
+    lines = source.read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "m.ckpt"
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["evaluate", "--model", str(path), "--test", str(pipeline[test]),
+                 "-o", str(tmp_path / "e.csv")])
+    if reason is None:
+        assert code == 0
+    else:
+        assert reason in _one_file_error(capsys, code, path)
 
 
 @pytest.mark.parametrize(

@@ -182,8 +182,11 @@ def test_split_ignores_input_order():
 
 
 def test_split_rejects_bad_ratios():
-    with pytest.raises(ValueError):
-        split_by_topic(["a", "b"], ratios=(0.5, 0.2, 0.2), seed=0)
+    with pytest.raises(ValueError, match="fewer topics than splits"):
+        split_by_topic(["a", "b"], seed=0)
+    for ratios in ((0.5, 0.2, 0.2), (float("nan"), 0.5, 0.5), (float("inf"), 0.0, 0.0)):
+        with pytest.raises(ValueError, match="ratios must be"):
+            split_by_topic(["a", "b", "c"], ratios=ratios, seed=0)
 
 
 def test_split_rejects_duplicate_topics():
@@ -312,6 +315,13 @@ def _pairs_mutations(line: str):
         for value in (None, 1e999, float("nan"), 2.5, "x", [], {}, ["x"]):
             yield json.dumps(dict(record, **{field: value}))
     yield from ("[1, 2]", '"row"', "3", "null")
+    if record["task"] == "stance":  # a path that disagrees with its distance or label
+        texts, edges = record["path_texts"], record["path_edges"]
+        flipped = "opposes" if record["label"] == "supports" else "supports"
+        for edit in ({"path_texts": texts[:1]}, {"path_edges": edges[1:]},
+                     {"path_edges": edges + edges[:1]}, {"distance": record["distance"] + 1},
+                     {"label": flipped}):
+            yield json.dumps(dict(record, **edit))
 
 
 @FUZZ
