@@ -75,6 +75,7 @@ from .pairs import (
     read_pairs_file,
     read_split_file,
     split_by_topic,
+    valid_ratios,
     write_pairs,
     write_split,
 )
@@ -331,6 +332,8 @@ def cmd_split(args: argparse.Namespace) -> int:
         raise UsageError("--ratios needs exactly three comma-separated numbers")
     if not all(math.isfinite(r) for r in ratios):
         raise UsageError(f"--ratios must be finite numbers, got {args.ratios!r}")
+    if not valid_ratios(ratios):
+        raise UsageError(f"--ratios must be non-negative and sum to 1, got {args.ratios!r}")
     trees = corpus_io.parse_corpus_file(args.corpus)
     split = split_by_topic([tree.topic_id for tree in trees], ratios=ratios, seed=seed)
     _atomic_write(args.out, lambda handle: write_split(split, handle))

@@ -13,7 +13,7 @@ import re
 from typing import IO, Iterable, Iterator, Optional
 
 from .pairs import open_text
-from .trees import ArgumentTree, StanceEdge, build_tree, iter_preorder
+from .trees import EDGES_BY_VALUE, ArgumentTree, StanceEdge, build_tree, iter_preorder
 
 SCHEMA = "argtree/1"
 
@@ -36,25 +36,31 @@ class CorpusFormatError(ValueError):
         self.reason = reason
 
 
+_CLAIM_FIELDS = frozenset(("id", "parent", "stance", "text"))
+
+
 def _claim_rows(record: dict, line_no: int) -> list[tuple[str, Optional[str], Optional[StanceEdge], str]]:
     rows = []
     for claim in record["claims"]:
         if not isinstance(claim, dict):
             raise CorpusFormatError(line_no, "claim entry is not an object")
-        missing = {"id", "parent", "stance", "text"} - set(claim)
-        if missing:
+        if not claim.keys() >= _CLAIM_FIELDS:
+            missing = _CLAIM_FIELDS - claim.keys()
             raise CorpusFormatError(line_no, f"claim missing fields {sorted(missing)}")
-        stance_raw = claim["stance"]
-        if stance_raw is None:
-            stance = None
-        else:
+        claim_id, parent = claim["id"], claim["parent"]
+        stance, text = claim["stance"], claim["text"]
+        if stance is not None:
             try:
-                stance = StanceEdge(stance_raw)
-            except ValueError:
-                raise CorpusFormatError(line_no, f"invalid stance {stance_raw!r}") from None
-        if not isinstance(claim["id"], str) or not isinstance(claim["text"], str):
+                stance = EDGES_BY_VALUE[stance]
+            except (KeyError, TypeError):
+                raise CorpusFormatError(line_no, f"invalid stance {stance!r}") from None
+        if type(claim_id) is not str or type(text) is not str:
             raise CorpusFormatError(line_no, "claim id and text must be strings")
-        rows.append((claim["id"], claim["parent"], stance, claim["text"]))
+        if isinstance(parent, (list, dict)):  # any other parent that names no claim dangles
+            raise CorpusFormatError(
+                line_no, f"claim parent must be a string, a number or null, got {parent!r}"
+            )
+        rows.append((claim_id, parent, stance, text))
     return rows
 
 
@@ -93,12 +99,9 @@ def parse_corpus(stream: IO[str] | Iterable[str]) -> Iterator[ArgumentTree]:
                 line_no, f"duplicate topic_id {topic_id!r} (first on line {first_line[topic_id]})"
             )
         first_line[topic_id] = line_no
+        claims = _claim_rows(record, line_no)
         try:
-            tree = build_tree(
-                topic_id=topic_id,
-                claims=_claim_rows(record, line_no),
-                tags=frozenset(tags),
-            )
+            tree = build_tree(topic_id=topic_id, claims=claims, tags=frozenset(tags))
         except ValueError as exc:
             raise CorpusFormatError(line_no, str(exc)) from None
         tree.line_no = line_no

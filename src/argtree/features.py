@@ -18,7 +18,7 @@ from typing import IO, TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .pairs import SpecificityExample, StanceExample, located_error, open_text
+from .pairs import SpecificityExample, StanceExample, json_blocks, located_error, open_text
 from .text import tokenize
 
 if TYPE_CHECKING:
@@ -493,6 +493,7 @@ class _Columns:
     out-of-range and the first repeated sparse index are kept, not raised,
     so that `table()` reports them after any error found in a later row.
     Equal labels and topic ids share one str object (`strings`).
+    `index_of` maps the text of each sparse index in range to the index.
     """
 
     schema: FeatureSchema
@@ -508,6 +509,10 @@ class _Columns:
     blocks: list[_Block] = field(default_factory=list)
     out_of_range: Optional[_RowError] = None
     repeated: Optional[_RowError] = None
+    index_of: dict[str, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.index_of = {str(i): i for i in range(len(self.schema.sparse_names))}
 
     def append(
         self,
@@ -519,17 +524,60 @@ class _Columns:
         data: Iterable[float],
         dense: list[float],
     ) -> None:
+        size = len(self.indices)
+        self.indices.extend(indices)
+        self.data.extend(data)
+        self.dense.extend(dense)
+        self._end_row(label, topic_id, distance, same_stance, size)
+
+    def _end_row(
+        self, label: str, topic_id: str, distance: int, same_stance: Optional[bool], size: int
+    ) -> None:
+        """Closes the row whose sparse entries start at `size`; its values are in already."""
         self.labels.append(self.strings.setdefault(label, label))
         self.topic_ids.append(self.strings.setdefault(topic_id, topic_id))
         self.distances.append(distance)
         self.same_stance.append(same_stance)
-        size = len(self.indices)
-        self.indices.extend(indices)
         self.row_lengths.append(len(self.indices) - size)
-        self.data.extend(data)
-        self.dense.extend(dense)
         if len(self.row_lengths) == BLOCK_ROWS:
             self._pack()
+
+    def read_row(self, row: object) -> None:
+        """Appends one decoded row of a features file; a bad row raises, and spoils the columns.
+
+        Fields are checked in one fixed order, so a row with several faults
+        names the first. A sparse key converts through `index_of`, and with
+        int() when it is not there (" 12", "012", an index out of range);
+        values convert with float(). Dense values are taken in order when the
+        row's dense names are the schema's, in order; otherwise by name, a
+        name the row does not give reading 0.0.
+        """
+        if not isinstance(row, dict):
+            raise ValueError("expected a JSON object")
+        sparse, dense = row["sparse"], row["dense"]
+        if not isinstance(sparse, dict) or not isinstance(dense, dict):
+            raise ValueError("sparse and dense must be JSON objects")
+        same_stance = row["same_stance"]
+        label = row["label"]
+        size = len(self.indices)
+        try:
+            self.indices.extend(map(self.index_of.__getitem__, sparse))
+        except KeyError:
+            del self.indices[size:]
+            self.indices.extend(map(int, sparse))
+        self.data.extend(map(float, sparse.values()))
+        names = self.schema.dense_names
+        if list(dense) == names:
+            self.dense.extend(map(float, dense.values()))
+        else:
+            values = dict(zip(dense, map(float, dense.values())))
+            self.dense.extend([values.get(name, 0.0) for name in names])
+        topic_id = row["topic_id"]
+        distance = int(row["distance"])
+        if not isinstance(label, str) or not isinstance(topic_id, str):
+            raise ValueError("label and topic_id must be strings")
+        same_stance = None if same_stance == "n/a" else bool(same_stance)
+        self._end_row(label, topic_id, distance, same_stance, size)
 
     def _pack(self) -> None:
         """Moves the open block into arrays, unless an earlier bad index dooms the table."""
@@ -756,30 +804,8 @@ def write_features_file(table: FeatureTable, path: str) -> None:
         write_features(table, handle)
 
 
-def _read_row(row: object, columns: _Columns) -> None:
-    """Appends one parsed row; sparse keys convert with int(), values with float()."""
-    if not isinstance(row, dict):
-        raise ValueError("expected a JSON object")
-    sparse, dense = row["sparse"], row["dense"]
-    if not isinstance(sparse, dict) or not isinstance(dense, dict):
-        raise ValueError("sparse and dense must be JSON objects")
-    same_stance = row["same_stance"]
-    label = row["label"]
-    indices = list(map(int, sparse))
-    data = list(map(float, sparse.values()))
-    values = dict(zip(dense, map(float, dense.values())))
-    topic_id = row["topic_id"]
-    distance = int(row["distance"])
-    if not isinstance(label, str) or not isinstance(topic_id, str):
-        raise ValueError("label and topic_id must be strings")
-    columns.append(
-        label, topic_id, distance, None if same_stance == "n/a" else bool(same_stance),
-        indices, data, [values.get(name, 0.0) for name in columns.schema.dense_names],
-    )
-
-
 def read_features_file(path: str) -> FeatureTable:
-    """Rows stream straight into column buffers.
+    """Rows, decoded a few dozen at a time (`json_blocks`), stream straight into column buffers.
 
     Every format error is one ValueError naming the file and line.
     """
@@ -801,14 +827,13 @@ def read_features_file(path: str) -> FeatureTable:
             raise located_error(path, 1, exc) from None
         columns = _Columns(schema)
         line_numbers = []
-        for line_no, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            try:
-                _read_row(json.loads(line), columns)
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                raise located_error(path, line_no, exc) from None
-            line_numbers.append(line_no)
+        for numbers, rows in json_blocks(handle, path, start=2):
+            for line_no, row in zip(numbers, rows):
+                try:
+                    columns.read_row(row)
+                except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                    raise located_error(path, line_no, exc) from None
+            line_numbers.extend(numbers)
     try:
         return columns.table()
     except _RowError as exc:

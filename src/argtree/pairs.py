@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
-from .trees import ArgumentTree, StanceEdge, ancestor_descendant_pairs, path_between
+from .trees import EDGES_BY_VALUE, ArgumentTree, StanceEdge, ancestor_descendant_pairs, path_between
 
 DEFAULT_SPECIFICITY_MAX_DISTANCE = 5
 DEFAULT_STANCE_MAX_DISTANCE = 4
@@ -34,6 +34,11 @@ class SpecificityLabel(Enum):
 class StanceLabel(Enum):
     SUPPORTS = "supports"
     OPPOSES = "opposes"
+
+
+# Each enum's members by value, for the pairs reader.
+_SPECIFICITY_LABELS = {label.value: label for label in SpecificityLabel}
+_STANCE_LABELS = {label.value: label for label in StanceLabel}
 
 
 @dataclass
@@ -155,6 +160,12 @@ class TopicSplit:
         return getattr(self, name)
 
 
+def valid_ratios(ratios: Sequence[float]) -> bool:
+    """Each ratio is non-negative and they sum to 1 within 1e-9."""
+    # written so that a NaN ratio fails it too
+    return all(r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9
+
+
 def split_by_topic(
     topic_ids: Sequence[str],
     ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
@@ -170,8 +181,7 @@ def split_by_topic(
         raise ValueError("duplicate topic ids")
     if len(topic_ids) < 3:
         raise ValueError("fewer topics than splits")
-    # written so that a NaN ratio fails it too
-    if not (all(r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
+    if not valid_ratios(ratios):
         raise ValueError(f"ratios must be non-negative and sum to 1, got {ratios!r}")
     ordered = sorted(topic_ids)
     random.Random(seed).shuffle(ordered)
@@ -244,12 +254,6 @@ def _same_stance_to_json(value: Optional[bool]):
     return "n/a" if value is None else value
 
 
-def _same_stance_from_json(value) -> Optional[bool]:
-    if value == "n/a":
-        return None
-    return bool(value)
-
-
 def specificity_to_record(example: SpecificityExample) -> dict:
     return {
         "task": "specificity",
@@ -318,38 +322,130 @@ def located_error(source: str, line_no: Optional[int], exc: Exception) -> ValueE
     return ValueError(f"{where}: {reason}")
 
 
-def _shared(value: object, strings: dict[str, str]) -> object:
-    """The str object equal to value that strings holds, which gains value if new."""
-    return strings.setdefault(value, value) if isinstance(value, str) else value
+# Lines that json_blocks decodes with one json.loads call.
+DECODE_LINES = 32
+
+
+def json_blocks(
+    stream: IO[str] | Iterable[str], source: str, start: int = 1
+) -> Iterator[tuple[list[int], list]]:
+    """The lines of stream that are not blank, decoded: blocks of (line numbers, values).
+
+    Lines are numbered from start. A block of up to DECODE_LINES lines is
+    decoded by one json.loads call, as one array that holds a null between
+    each two lines; equal object keys of those lines then share one str.
+    Its values are taken only when no line holds the text "null" and the
+    array holds 2n - 1 values, n - 1 of them null: every null is then a
+    separator, so each line decoded alone to the one value between two of
+    them, as json.loads(line) does. Otherwise the block's lines are decoded
+    one by one. A line that does not decode raises located_error(source,
+    line, exc), and an error reading the stream is raised, only after the
+    values of the lines before it are yielded: a caller that converts a
+    block before it takes the next reports the first bad line of the stream.
+    """
+    lines = enumerate(stream, start=start)
+    while True:
+        numbers: list[int] = []
+        block: list[str] = []
+        try:
+            for line_no, line in lines:
+                if line.strip():
+                    numbers.append(line_no)
+                    block.append(line)
+                    if len(block) == DECODE_LINES:
+                        break
+        except (ValueError, OSError):
+            yield from _decoded(numbers, block, source)
+            raise
+        if not block:
+            return
+        yield from _decoded(numbers, block, source)
+
+
+def _decoded(numbers: list[int], block: list[str], source: str) -> Iterator[tuple[list[int], list]]:
+    """The block's values, by one json.loads call where that is sound (see json_blocks)."""
+    n = len(block)
+    text = "[" + ",null,".join(block) + "]"
+    if text.count("null") == n - 1:
+        try:
+            values = json.loads(text)
+        except (ValueError, RecursionError):
+            values = []
+        if len(values) == 2 * n - 1 and values.count(None) == n - 1:
+            yield numbers, values[::2]
+            return
+    values = []
+    for line_no, line in zip(numbers, block):
+        try:
+            values.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            yield numbers[: len(values)], values
+            raise located_error(source, line_no, exc) from None
+    yield numbers, values
 
 
 def _example_from_record(
     record: object, strings: dict[str, str]
 ) -> SpecificityExample | StanceExample:
+    """The example of one decoded pairs line; a bad record raises ValueError, KeyError or TypeError.
+
+    Fields are read in one fixed order, so a record with several faults
+    names the first. A str value is replaced by the equal one that strings
+    holds (and added if new); a value of another type is kept as it is. A
+    label or path edge that is a known str is taken from its enum's
+    members by value; anything else goes through the enum call, which
+    raises its own error for a value it does not know.
+    """
     if not isinstance(record, dict):
         raise ValueError("expected a JSON object")
     task = record.get("task")
+    share = strings.setdefault
     if task == "specificity":
+        topic_id, first_id, second_id, first_text, second_text = (
+            record["topic_id"], record["first_id"], record["second_id"],
+            record["first_text"], record["second_text"],
+        )
+        distance = int(record["distance"])
+        label = record["label"]
+        try:
+            label = _SPECIFICITY_LABELS[label]
+        except (KeyError, TypeError):
+            label = SpecificityLabel(label)
+        same_stance = record["same_stance"]
         return SpecificityExample(
-            topic_id=_shared(record["topic_id"], strings),
-            first_id=_shared(record["first_id"], strings),
-            second_id=_shared(record["second_id"], strings),
-            first_text=_shared(record["first_text"], strings),
-            second_text=_shared(record["second_text"], strings),
-            distance=int(record["distance"]),
-            label=SpecificityLabel(record["label"]),
-            same_stance=_same_stance_from_json(record["same_stance"]),
+            share(topic_id, topic_id) if type(topic_id) is str else topic_id,
+            share(first_id, first_id) if type(first_id) is str else first_id,
+            share(second_id, second_id) if type(second_id) is str else second_id,
+            share(first_text, first_text) if type(first_text) is str else first_text,
+            share(second_text, second_text) if type(second_text) is str else second_text,
+            distance,
+            label,
+            None if same_stance == "n/a" else bool(same_stance),
         )
     if task == "stance":
+        topic_id, a_id, b_id = record["topic_id"], record["a_id"], record["b_id"]
+        distance = int(record["distance"])
+        texts = [share(t, t) if type(t) is str else t for t in record["path_texts"]]
+        edges = record["path_edges"]
+        try:
+            edges = list(map(EDGES_BY_VALUE.__getitem__, edges))
+        except (KeyError, TypeError):
+            edges = [StanceEdge(e) for e in edges]
+        label = record["label"]
+        try:
+            label = _STANCE_LABELS[label]
+        except (KeyError, TypeError):
+            label = StanceLabel(label)
+        same_stance = record["same_stance"]
         example = StanceExample(
-            topic_id=_shared(record["topic_id"], strings),
-            a_id=_shared(record["a_id"], strings),
-            b_id=_shared(record["b_id"], strings),
-            distance=int(record["distance"]),
-            path_texts=[_shared(t, strings) for t in record["path_texts"]],
-            path_edges=[StanceEdge(e) for e in record["path_edges"]],
-            label=StanceLabel(record["label"]),
-            same_stance=_same_stance_from_json(record["same_stance"]),
+            share(topic_id, topic_id) if type(topic_id) is str else topic_id,
+            share(a_id, a_id) if type(a_id) is str else a_id,
+            share(b_id, b_id) if type(b_id) is str else b_id,
+            distance,
+            texts,
+            edges,
+            label,
+            None if same_stance == "n/a" else bool(same_stance),
         )
         _check_path(example)
         return example
@@ -384,14 +480,13 @@ def read_pairs(
     once.
     """
     strings: dict[str, str] = {}
-    for line_no, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        try:
-            example = _example_from_record(json.loads(line), strings)
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise located_error(source, line_no, exc) from None
-        yield example
+    for numbers, records in json_blocks(stream, source):
+        for line_no, record in zip(numbers, records):
+            try:
+                example = _example_from_record(record, strings)
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                raise located_error(source, line_no, exc) from None
+            yield example
 
 
 def read_pairs_file(path: str) -> list[SpecificityExample | StanceExample]:

@@ -18,6 +18,10 @@ class StanceEdge(Enum):
     CON = "con"
 
 
+# The members by value, for the readers of corpus and pairs files.
+EDGES_BY_VALUE = {edge.value: edge for edge in StanceEdge}
+
+
 @dataclass
 class ClaimNode:
     id: str
@@ -88,9 +92,7 @@ def build_tree(
     for claim_id, parent, stance, text in claims:
         if claim_id in nodes:
             raise ValueError(f"duplicate claim id {claim_id!r} in topic {topic_id!r}")
-        nodes[claim_id] = ClaimNode(
-            id=claim_id, text=text, parent=parent, stance_to_parent=stance
-        )
+        nodes[claim_id] = ClaimNode(claim_id, text, parent, stance)
         if parent is None:
             if root_id is not None:
                 raise ValueError(f"multiple root claims in topic {topic_id!r}")

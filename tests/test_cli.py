@@ -461,6 +461,16 @@ def test_corpus_field_types_are_one_located_error(tmp_path, capsys, fields, reas
     assert message == f"error: {path}:2: {reason}"
 
 
+@pytest.mark.parametrize("parent", [[], ["c0"], {"c0": 1}])
+def test_list_or_object_parent_is_one_located_error(tmp_path, capsys, parent):
+    path = tmp_path / "list-parent.jsonl"
+    path.write_text(f"{_corpus_line('t0')}\n{_corpus_line('t1', ('c1', parent))}\n", encoding="utf-8")
+    capsys.readouterr()
+    message = _one_located_error(capsys, main(["validate", str(path)]), path, 2)
+    reason = f"claim parent must be a string, a number or null, got {parent!r}"
+    assert message == f"error: {path}:2: {reason}"
+
+
 def test_non_string_parent_is_a_dangling_parent(tmp_path, capsys):
     path = tmp_path / "int-parent.jsonl"
     path.write_text(_corpus_line("t", ("c1", 1)) + "\n", encoding="utf-8")
@@ -563,6 +573,13 @@ def test_bad_ratios_are_usage_errors(pipeline, tmp_path, capsys):
         capsys.readouterr()
         assert main(["split", str(pipeline["corpus"]), "--ratios", ratios, "-o", out]) == 2
         assert "error: --ratios must be finite numbers" in capsys.readouterr().err
+    absent = str(tmp_path / "absent.jsonl")
+    for ratios in ("0.5,0.6,0.2", "0.6,-0.2,0.6"):
+        capsys.readouterr()
+        assert main(["split", absent, "--ratios", ratios, "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --ratios must be non-negative and sum to 1, got '{ratios}'" in err
+        assert "file not found" not in err
     assert not os.path.exists(out)
 
 

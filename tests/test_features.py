@@ -39,7 +39,7 @@ from document_fuzz import (
     DOCUMENT_FUZZ,
     arbitrary_text,
     assert_parses_or_one_file_error,
-    document_mutations,
+    json_mutations,
 )
 from features_reference import table_records
 
@@ -126,7 +126,7 @@ def test_vocabulary_file_round_trips_and_bad_input_is_one_file_error(
     path = tmp_path / "vocab.json"
     write_vocabulary_file(vocab, str(path))
     assert read_vocabulary_file(str(path)) == vocab
-    for text in [arbitrary, *document_mutations(path.read_text(encoding="utf-8"))]:
+    for text in [arbitrary, *json_mutations(path.read_text(encoding="utf-8"))]:
         assert_parses_or_one_file_error(read_vocabulary_file, path, text)
 
 

@@ -1,4 +1,4 @@
-"""Fuzz tests for the line readers: lexicon, embeddings and evaluation CSV.
+"""Fuzz tests for the line readers: lexicon, embeddings, evaluation CSV, corpus, outline.
 
 Each reader must give back what its writer wrote, and on any other input
 either parse it or raise its one error, "<path>:<line>: <reason>" for a
@@ -17,22 +17,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from argtree.cli import _STRATA_CSV_FIELDS, _reports_from_csv_files
+from argtree.corpus_io import import_outline_file, parse_corpus_file, tree_to_record, write_corpus
 from argtree.evaluation import EvalReport, Stratum, report_csv_rows
 from argtree.features import Lexicon, read_embeddings_file, read_lexicon_file
-from document_fuzz import DOCUMENT_FUZZ, arbitrary_text
+from argtree.trees import StanceEdge, build_tree, iter_preorder
+from document_fuzz import DOCUMENT_FUZZ, ODD_VALUES, arbitrary_text, corpus_record_mutations
 
 # Field values that replace one field of one row.
 ODD_FIELDS = ("", "x", "nan", "inf", "-1", "1e999", "2.5", '"', " ", "\t", ",")
 
 
-def row_mutations(text: str, sep: str):
-    """Cuts of `text`, then `text` with one field of one row deleted or replaced."""
+def cuts(text: str):
+    """Seven or so prefixes of text, the empty one first."""
     yield from (text[:cut] for cut in range(0, len(text), max(1, len(text) // 7)))
+
+
+def row_mutations(text: str, sep: str, values=ODD_FIELDS):
+    """Cuts of `text`, then `text` with one field of one row deleted or replaced by each value."""
+    yield from cuts(text)
     lines = text.split("\n")
     for i, line in enumerate(lines):
         fields = line.split(sep)
         for j in range(len(fields)):
-            for replacement in ([], *([value] for value in ODD_FIELDS)):
+            for replacement in ([], *([value] for value in values)):
                 edited = sep.join(fields[:j] + replacement + fields[j + 1 :])
                 yield "\n".join(lines[:i] + [edited] + lines[i + 1 :])
 
@@ -132,4 +139,84 @@ def test_evaluation_csv_round_trips_and_bad_input_is_one_located_error(
     for mutated in [arbitrary, *row_mutations(buf.getvalue(), ",")]:
         assert_parses_or_one_located_error(
             lambda name: _reports_from_csv_files([name]), path, mutated
+        )
+
+
+claim_text = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8)
+
+
+@st.composite
+def argument_trees(draw, text=claim_text):
+    """A tree of up to 6 claims, each child under a claim drawn before it."""
+    claims = [("c0", None, None, draw(text))]
+    for i in range(1, draw(st.integers(1, 6))):
+        parent = draw(st.sampled_from([claim[0] for claim in claims]))
+        claims.append((f"c{i}", parent, draw(st.sampled_from(list(StanceEdge))), draw(text)))
+    tags = frozenset(draw(st.lists(st.text(max_size=3), unique=True, max_size=2)))
+    return build_tree(draw(st.text(max_size=6)), claims, tags)
+
+
+def corpus_mutations(text: str, at: int):
+    """Cuts of the corpus text, then the text with its record on line `at` mutated."""
+    yield from cuts(text)
+    lines = text.split("\n")
+    for edit in corpus_record_mutations(lines[at]):
+        yield "\n".join(lines[:at] + [edit] + lines[at + 1 :])
+
+
+@DOCUMENT_FUZZ
+@given(
+    st.lists(argument_trees(), min_size=1, max_size=3, unique_by=lambda tree: tree.topic_id),
+    st.data(),
+    arbitrary_text,
+)
+def test_corpus_file_round_trips_and_bad_input_is_one_located_error(
+    tmp_path, trees, data, arbitrary
+):
+    buf = io.StringIO()
+    write_corpus(trees, buf)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(buf.getvalue(), encoding="utf-8")
+    back = parse_corpus_file(str(path))
+    assert [tree_to_record(tree) for tree in back] == [tree_to_record(tree) for tree in trees]
+    assert [tree.tags for tree in back] == [tree.tags for tree in trees]
+    at = data.draw(st.integers(0, len(trees) - 1))
+    for mutated in [arbitrary, *corpus_mutations(buf.getvalue(), at)]:
+        assert_parses_or_one_located_error(parse_corpus_file, path, mutated)
+
+
+def outline(tree) -> tuple[str, list[tuple]]:
+    """The tree as an outline (dotted numbers, Pro:/Con: prefixes), and the
+    (id, parent, stance, text) rows import_outline reads back: the ids are
+    the numbers."""
+    number = {tree.root_id: "1"}
+    lines, rows = [], []
+    for node_id in iter_preorder(tree):
+        node = tree.nodes[node_id]
+        if node.parent is None:
+            lines.append(f"1. {node.text}")
+            rows.append(("1", None, None, node.text))
+            continue
+        siblings = tree.nodes[node.parent].children
+        number[node_id] = f"{number[node.parent]}.{siblings.index(node_id) + 1}"
+        stance = node.stance_to_parent
+        lines.append(f"{number[node_id]}. {stance.value.title()}: {node.text}")
+        rows.append((number[node_id], number[node.parent], stance, node.text))
+    return "".join(line + "\n" for line in lines), rows
+
+
+outline_words = st.text(st.sampled_from("abc xyz,?"), max_size=8).map(lambda t: f"w{t}".strip())
+
+
+@DOCUMENT_FUZZ
+@given(argument_trees(text=outline_words), arbitrary_text)
+def test_outline_file_round_trips_and_bad_input_is_one_located_error(tmp_path, tree, arbitrary):
+    text, rows = outline(tree)
+    path = tmp_path / "outline.txt"
+    path.write_text(text, encoding="utf-8")
+    back = import_outline_file(str(path), topic_id="t")
+    assert [(n.id, n.parent, n.stance_to_parent, n.text) for n in back.nodes.values()] == rows
+    for mutated in [arbitrary, *row_mutations(text, " ", ODD_FIELDS + ODD_VALUES)]:
+        assert_parses_or_one_located_error(
+            lambda name: import_outline_file(name, topic_id="t"), path, mutated
         )
