@@ -68,6 +68,7 @@ from .models import (
 )
 from .pairs import (
     SpecificityExample,
+    decode_json,
     derive_specificity_examples,
     derive_stance_examples,
     located_error,
@@ -83,6 +84,8 @@ from .synth import SynthConfig, generate_corpus
 from .trees import BrokenTreeError, validate_tree
 
 DEFAULT_MAX_DISTANCE = {"specificity": 5, "stance": 4}
+
+T = TypeVar("T")
 
 
 class UsageError(Exception):
@@ -171,12 +174,13 @@ def _log_effective_config(command: str, config: dict, seed: int) -> None:
     _log(f"{command}: seed={seed} config: {rendered}")
 
 
-def _atomic_write(path: str, writer: Callable[[IO[str]], None]) -> None:
+def _atomic_write(path: str, writer: Callable[[IO[str]], T]) -> T:
+    """writer(handle)'s result; the file at path is replaced only if writer returns."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".argtree-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            writer(handle)
+            result = writer(handle)
         # mkstemp creates the file 0600; give it the mode open() would.
         umask = os.umask(0)
         os.umask(umask)
@@ -186,6 +190,7 @@ def _atomic_write(path: str, writer: Callable[[IO[str]], None]) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp_path)
         raise
+    return result
 
 
 @contextlib.contextmanager
@@ -204,7 +209,7 @@ def _detect_dataset_kind(path: str) -> str:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = decode_json(line)
             except json.JSONDecodeError as exc:
                 raise located_error(path, line_no, exc) from None
             if not isinstance(record, dict):
@@ -359,15 +364,14 @@ def cmd_derive_pairs(args: argparse.Namespace) -> int:
         split = read_split_file(args.split)
         keep = split.part(args.part)
         trees = [tree for tree in trees if tree.topic_id in keep]
+    if args.task == "specificity":
+        examples = derive_specificity_examples(trees, max_distance=max_distance, seed=seed)
+    else:
+        examples = derive_stance_examples(trees, max_distance=max_distance)
+    # the examples are derived as they are written, so a broken tree ends the write
     with _walking_corpus(args.corpus):
-        if args.task == "specificity":
-            examples = list(
-                derive_specificity_examples(trees, max_distance=max_distance, seed=seed)
-            )
-        else:
-            examples = list(derive_stance_examples(trees, max_distance=max_distance))
-    _atomic_write(args.out, lambda handle: write_pairs(examples, handle))
-    _log(f"derive-pairs: {len(examples)} {args.task} example(s) -> {args.out}")
+        count = _atomic_write(args.out, lambda handle: write_pairs(examples, handle))
+    _log(f"derive-pairs: {count} {args.task} example(s) -> {args.out}")
     return 0
 
 

@@ -12,7 +12,7 @@ import json
 import re
 from typing import IO, Iterable, Iterator, Optional
 
-from .pairs import open_text
+from .pairs import decode_json, open_text
 from .trees import EDGES_BY_VALUE, ArgumentTree, StanceEdge, build_tree, iter_preorder
 
 SCHEMA = "argtree/1"
@@ -76,7 +76,7 @@ def parse_corpus(stream: IO[str] | Iterable[str]) -> Iterator[ArgumentTree]:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = decode_json(line)
         except json.JSONDecodeError as exc:
             raise CorpusFormatError(line_no, f"invalid JSON ({exc.msg})") from None
         if not isinstance(record, dict):

@@ -18,7 +18,20 @@ from typing import IO, TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .pairs import SpecificityExample, StanceExample, json_blocks, located_error, open_text
+from .pairs import (
+    BLOCK_ROWS,
+    SAME_STANCE_JSON,
+    EncodedStrings,
+    SpecificityExample,
+    StanceExample,
+    decode_json,
+    encode_float,
+    encode_int,
+    encode_str,
+    json_blocks,
+    located_error,
+    open_text,
+)
 from .text import tokenize
 
 if TYPE_CHECKING:
@@ -33,10 +46,6 @@ STOP_LIST_SIZE = 50
 
 FEATURES_SCHEMA = "argtree-features/1"
 VOCAB_SCHEMA = "argtree-vocab/1"
-
-# Features files pass through memory this many rows at a time: the writer
-# converts one block to Python values, the reader packs one into arrays.
-BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -101,7 +110,7 @@ def read_vocabulary_file(path: str) -> Vocabulary:
     with open_text(path) as handle:
         text = handle.read()
         try:
-            record = json.loads(text)
+            record = decode_json(text)
             if not isinstance(record, dict):
                 raise ValueError("expected a JSON object")
             if record.get("schema") != VOCAB_SCHEMA:
@@ -757,15 +766,30 @@ def featurize_stance(
     return _example_table(schema, examples, sparse, dense)
 
 
+def _float_texts(values: np.ndarray) -> list[str]:
+    """Each float of values, in C order, as json.dumps writes it.
+
+    Each distinct value is rendered once. Values are told apart by their
+    bits, so -0.0 and 0.0 stay apart.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = list(map(encode_float, distinct.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
 def write_features(table: FeatureTable, stream: IO[str]) -> None:
     """One header line, then one JSON object per row.
 
     A row's sparse object lists its stored entries in index order, its
-    dense object every dense name in schema order. Rows are converted to
-    Python values one block of BLOCK_ROWS at a time.
+    dense object every dense name in schema order. Each line is the bytes
+    of json.dumps(..., ensure_ascii=False) of its object, joined from
+    pieces: the key texts are built once per file, each distinct label and
+    topic id is encoded once per file and each distinct value once per
+    block. One block of BLOCK_ROWS rows is held as text at a time and
+    written with one write.
     """
     schema = table.schema
-    encode = json.JSONEncoder(ensure_ascii=False).encode
     header = {
         "schema": FEATURES_SCHEMA,
         "task": schema.task,
@@ -773,30 +797,36 @@ def write_features(table: FeatureTable, stream: IO[str]) -> None:
         "sparse_names": schema.sparse_names,
         "dense_names": schema.dense_names,
     }
-    stream.write(encode(header) + "\n")
+    stream.write(json.dumps(header, ensure_ascii=False) + "\n")
+    sparse_keys = [f'"{i}": ' for i in range(len(schema.sparse_names))]
+    dense_keys = [encode_str(name) + ": " for name in schema.dense_names]
+    k = len(dense_keys)
+    strings = EncodedStrings()
     sparse = table.sparse
     for first in range(0, len(table), BLOCK_ROWS):
         rows = slice(first, first + BLOCK_ROWS)
         indptr = sparse.indptr[first : first + BLOCK_ROWS + 1]
-        keys = [str(i) for i in sparse.indices[indptr[0] : indptr[-1]].tolist()]
-        values = sparse.data[indptr[0] : indptr[-1]].tolist()
-        ends = (indptr[1:] - indptr[0]).tolist()
-        dense_rows = table.dense[rows].tolist()
-        start = 0
-        for end, dense, label, topic_id, distance, same_stance in zip(
-            ends, dense_rows, table.labels[rows], table.topic_ids[rows],
+        entries = list(map(
+            str.__add__,
+            map(sparse_keys.__getitem__, sparse.indices[indptr[0] : indptr[-1]].tolist()),
+            _float_texts(sparse.data[indptr[0] : indptr[-1]]),
+        ))
+        dense = list(map(str.__add__, itertools.cycle(dense_keys), _float_texts(table.dense[rows])))
+        bounds = (indptr - indptr[0]).tolist()
+        lines = []
+        at = 0
+        for start, end, label, topic_id, distance, same_stance in zip(
+            bounds, bounds[1:], table.labels[rows], table.topic_ids[rows],
             table.distances[rows], table.same_stance[rows],
         ):
-            line = {
-                "label": label,
-                "sparse": dict(zip(keys[start:end], values[start:end])),
-                "dense": dict(zip(schema.dense_names, dense)),
-                "topic_id": topic_id,
-                "distance": distance,
-                "same_stance": "n/a" if same_stance is None else same_stance,
-            }
-            stream.write(encode(line) + "\n")
-            start = end
+            lines.append(
+                f'{{"label": {strings[label]}, "sparse": {{{", ".join(entries[start:end])}}}, '
+                f'"dense": {{{", ".join(dense[at : at + k])}}}, '
+                f'"topic_id": {strings[topic_id]}, "distance": {encode_int(distance)}, '
+                f'"same_stance": {SAME_STANCE_JSON[same_stance]}}}\n'
+            )
+            at += k
+        stream.write("".join(lines))
 
 
 def write_features_file(table: FeatureTable, path: str) -> None:
@@ -814,7 +844,7 @@ def read_features_file(path: str) -> FeatureTable:
         if not header_line.strip():
             raise ValueError(f"empty features file {path!r}")
         try:
-            header = json.loads(header_line)
+            header = decode_json(header_line)
             if not isinstance(header, dict) or header.get("schema") != FEATURES_SCHEMA:
                 raise ValueError(f"schema mismatch: expected {FEATURES_SCHEMA!r}")
             schema = FeatureSchema(

@@ -29,6 +29,8 @@ from typing import IO, Mapping
 
 import numpy as np
 
+from ..pairs import decode_json
+
 SCHEMA = "argtree-model/1"
 
 
@@ -114,7 +116,7 @@ def _parse(handle: IO[str], path: str) -> tuple[str, int, dict[str, np.ndarray],
             if not text:
                 raise _error(path, line_no, "missing JSON after [meta]")
             try:
-                meta = json.loads(text)
+                meta = decode_json(text)
             except json.JSONDecodeError as exc:
                 raise _error(path, line_no, f"invalid JSON in [meta] ({exc.msg})") from None
             if not isinstance(meta, dict):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -232,7 +233,7 @@ def read_split_file(path: str) -> TopicSplit:
     with open_text(path) as handle:
         text = handle.read()
         try:
-            record = json.loads(text)
+            record = decode_json(text)
             if not isinstance(record, dict):
                 raise ValueError("expected a JSON object")
             if record.get("schema") != SPLIT_SCHEMA:
@@ -250,46 +251,46 @@ def read_split_file(path: str) -> TopicSplit:
             raise located_error(path, None, exc) from None
 
 
-def _same_stance_to_json(value: Optional[bool]):
-    return "n/a" if value is None else value
+def write_pairs(examples: Iterable[SpecificityExample | StanceExample], stream: IO[str]) -> int:
+    """One JSON object per example; returns the number of examples written.
 
-
-def specificity_to_record(example: SpecificityExample) -> dict:
-    return {
-        "task": "specificity",
-        "topic_id": example.topic_id,
-        "first_id": example.first_id,
-        "second_id": example.second_id,
-        "first_text": example.first_text,
-        "second_text": example.second_text,
-        "distance": example.distance,
-        "label": example.label.value,
-        "same_stance": _same_stance_to_json(example.same_stance),
-    }
-
-
-def stance_to_record(example: StanceExample) -> dict:
-    return {
-        "task": "stance",
-        "topic_id": example.topic_id,
-        "a_id": example.a_id,
-        "b_id": example.b_id,
-        "distance": example.distance,
-        "path_texts": example.path_texts,
-        "path_edges": [edge.value for edge in example.path_edges],
-        "label": example.label.value,
-        "same_stance": _same_stance_to_json(example.same_stance),
-    }
-
-
-def write_pairs(examples: Iterable[SpecificityExample | StanceExample], stream: IO[str]) -> None:
+    Each line is the bytes of json.dumps(record, ensure_ascii=False) for
+    the example's record (a missing same_stance reads "n/a"), joined from
+    pieces: every distinct string is encoded once per file. examples is
+    consumed as it is written: one block of BLOCK_ROWS lines is held in
+    memory, beside the encoding of each distinct string.
+    """
+    strings = EncodedStrings()
+    lines: list[str] = []
+    count = 0
     for example in examples:
         if isinstance(example, SpecificityExample):
-            record = specificity_to_record(example)
+            lines.append(
+                f'{{"task": "specificity", "topic_id": {strings[example.topic_id]}, '
+                f'"first_id": {strings[example.first_id]}, '
+                f'"second_id": {strings[example.second_id]}, '
+                f'"first_text": {strings[example.first_text]}, '
+                f'"second_text": {strings[example.second_text]}, '
+                f'"distance": {encode_int(example.distance)}, '
+                f'"label": {_ENUM_JSON[example.label]}, '
+                f'"same_stance": {SAME_STANCE_JSON[example.same_stance]}}}\n'
+            )
         else:
-            record = stance_to_record(example)
-        stream.write(json.dumps(record, ensure_ascii=False))
-        stream.write("\n")
+            lines.append(
+                f'{{"task": "stance", "topic_id": {strings[example.topic_id]}, '
+                f'"a_id": {strings[example.a_id]}, "b_id": {strings[example.b_id]}, '
+                f'"distance": {encode_int(example.distance)}, '
+                f'"path_texts": [{", ".join(map(strings.__getitem__, example.path_texts))}], '
+                f'"path_edges": [{", ".join(map(_ENUM_JSON.__getitem__, example.path_edges))}], '
+                f'"label": {_ENUM_JSON[example.label]}, '
+                f'"same_stance": {SAME_STANCE_JSON[example.same_stance]}}}\n'
+            )
+        if len(lines) == BLOCK_ROWS:
+            stream.write("".join(lines))
+            count += len(lines)
+            lines.clear()
+    stream.write("".join(lines))
+    return count + len(lines)
 
 
 @contextmanager
@@ -320,6 +321,47 @@ def located_error(source: str, line_no: Optional[int], exc: Exception) -> ValueE
         reason = str(exc)
     where = source if line_no is None else f"{source}:{line_no}"
     return ValueError(f"{where}: {reason}")
+
+
+def decode_json(text: str) -> object:
+    """json.loads(text); text nested past Python's recursion limit is a JSONDecodeError too."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+
+
+# Pairs and features files are written, and features files read, this many
+# records at a time.
+BLOCK_ROWS = 1024
+
+# The JSON text of a value as json.dumps(value, ensure_ascii=False) writes it.
+encode_str = json.encoder.encode_basestring
+encode_int = int.__repr__
+SAME_STANCE_JSON = {None: '"n/a"', True: "true", False: "false"}
+_ENUM_JSON = {
+    member: encode_str(member.value)
+    for member in (*SpecificityLabel, *StanceLabel, *StanceEdge)
+}
+
+
+def encode_float(value: float) -> str:
+    """value as json.dumps writes a float: its repr, or NaN, Infinity or -Infinity."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+class EncodedStrings(dict):
+    """str -> encode_str(str), each encoded on its first lookup and kept."""
+
+    def __missing__(self, text: str) -> str:
+        encoded = self[text] = encode_str(text)
+        return encoded
 
 
 # Lines that json_blocks decodes with one json.loads call.
@@ -368,8 +410,8 @@ def _decoded(numbers: list[int], block: list[str], source: str) -> Iterator[tupl
     text = "[" + ",null,".join(block) + "]"
     if text.count("null") == n - 1:
         try:
-            values = json.loads(text)
-        except (ValueError, RecursionError):
+            values = decode_json(text)
+        except ValueError:
             values = []
         if len(values) == 2 * n - 1 and values.count(None) == n - 1:
             yield numbers, values[::2]
@@ -377,7 +419,7 @@ def _decoded(numbers: list[int], block: list[str], source: str) -> Iterator[tupl
     values = []
     for line_no, line in zip(numbers, block):
         try:
-            values.append(json.loads(line))
+            values.append(decode_json(line))
         except json.JSONDecodeError as exc:
             yield numbers[: len(values)], values
             raise located_error(source, line_no, exc) from None

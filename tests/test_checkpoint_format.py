@@ -194,6 +194,8 @@ def test_garbled_files_parse_as_the_reference_or_raise_one_located_error(tmp_pat
         (f"{SCHEMA} pair 0\n[block w 1 1]\n1.0\n[block w 1 1]\n2.0\n[meta]\n{{}}\n", 4,
          "duplicate block 'w'"),
         (f'{SCHEMA} pair 0\n[meta]\n{{"task": \n', 3, "invalid JSON in [meta] (Expecting value)"),
+        pytest.param(f"{SCHEMA} pair 0\n[meta]\n{'[' * 100_000}\n", 3,
+                     "invalid JSON in [meta] (nested too deeply)", id="meta-nested-too-deeply"),
         (f"{SCHEMA} pair 0\n[meta]\n", 3, "missing JSON after [meta]"),
         (f"{SCHEMA} pair 0\n[meta]\n[1]\n", 3, "[meta] is not a JSON object"),
         (f"{SCHEMA} pair 0\n[meta]\n{{}}\n[meta]\n{{}}\n", 4, "duplicate [meta] section"),

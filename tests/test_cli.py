@@ -802,6 +802,38 @@ def test_bad_pairs_line_is_one_located_error(pipeline, tmp_path, capsys, task, l
     assert reason in _one_located_error(capsys, code, path, line_no)
 
 
+# A JSON array nested far past Python's recursion limit.
+TOO_DEEP = "[" * 100_000
+
+
+@pytest.mark.parametrize(
+    "source, argv",
+    [
+        ("corpus", ["validate", "{path}"]),
+        ("corpus", ["derive-pairs", "{path}", "--task", "stance", "-o", "{out}"]),
+        ("stance_pairs", ["evaluate", "--model", "{majority_ckpt}", "--test", "{path}",
+                          "-o", "{out}"]),
+        ("stance_pairs", ["train", "--model", "majority", "--task", "stance",
+                          "--train", "{path}", "-o", "{out}"]),
+        ("specificity_features", ["train", "--model", "logreg", "--task", "specificity",
+                                  "--train", "{path}", "-o", "{out}"]),
+    ],
+    ids=["validate", "derive-pairs", "evaluate-test", "train-pairs", "train-features"],
+)
+# line 1 is what train and evaluate read to tell the file's kind, and a features header
+@pytest.mark.parametrize("line_no", [1, 3])
+def test_json_nested_past_the_recursion_limit_is_one_located_error(
+    pipeline, tmp_path, capsys, source, argv, line_no
+):
+    path, out = tmp_path / "deep.jsonl", tmp_path / "out"
+    _write_edited_lines(pipeline[source], path, line_no, lambda line: TOO_DEEP)
+    names = {"path": path, "out": out, "majority_ckpt": pipeline["majority_ckpt"]}
+    capsys.readouterr()
+    code = main([arg.format(**names) for arg in argv])
+    assert "invalid JSON" in _one_located_error(capsys, code, path, line_no)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "line_no, edit, reason",
     [
@@ -846,8 +878,10 @@ def _one_file_error(capsys, code, path) -> str:
         ('{"schema": "argtree-vocab/0", "tokens": []}', "schema mismatch"),
         ('{"schema": "argtree-vocab/1", "min_count": 1e999, "built_from": "x", "tokens": []}',
          "cannot convert float infinity to integer"),
+        (TOO_DEEP, "invalid JSON (nested too deeply)"),
     ],
-    ids=["missing-tokens", "list", "not-json", "tokens-not-list", "schema", "infinite-min-count"],
+    ids=["missing-tokens", "list", "not-json", "tokens-not-list", "schema", "infinite-min-count",
+         "too-deep"],
 )
 def test_bad_vocabulary_file_is_one_file_error(pipeline, tmp_path, capsys, content, reason):
     path = tmp_path / "v.json"
@@ -914,6 +948,17 @@ def test_bad_split_file_is_one_file_error(pipeline, tmp_path, capsys, edit, reas
         "--split", str(path), "--part", "train", "-o", str(tmp_path / "p.jsonl"),
     ])
     assert reason in _one_file_error(capsys, code, path)
+
+
+def test_split_file_nested_too_deeply_is_one_file_error(pipeline, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(TOO_DEEP + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main([
+        "derive-pairs", str(pipeline["corpus"]), "--task", "stance",
+        "--split", str(path), "--part", "train", "-o", str(tmp_path / "p.jsonl"),
+    ])
+    assert "invalid JSON (nested too deeply)" in _one_file_error(capsys, code, path)
 
 
 def _non_utf8_argv(reader, pipeline, tmp_path):

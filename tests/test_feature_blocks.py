@@ -1,11 +1,11 @@
 """Features files pass through memory one block of BLOCK_ROWS rows at a time.
 
-The writer converts one block of the table to Python values at a time,
-and the reader packs each block of rows into arrays as it fills. These
-tests hold the writer's memory to about one block, compare tables whose
-size falls at and around block edges with the per-record reference in
-`features_reference`, and check that errors keep their lines and their
-order when the bad rows sit in different blocks.
+The writer renders one block of the table as text at a time, and the
+reader packs each block of rows into arrays as it fills. These tests hold
+the features writer's memory, and the pairs writer's, to about one block,
+compare tables whose size falls at and around block edges with the
+per-record reference in `features_reference`, and check that errors keep
+their lines and their order when the bad rows sit in different blocks.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from argtree.features import (
     write_features,
 )
 from argtree.models.logreg import design_matrix, standardization_stats
+from argtree.pairs import SpecificityExample, SpecificityLabel, write_pairs
 
 WIDTH = 40
 
@@ -182,6 +183,35 @@ def test_writer_memory_is_held_to_about_one_block():
     one_block = _writer_peak(_table(BLOCK_ROWS))
     # 20,000 rows is almost 20 blocks; converted whole, they would peak near 20x one block
     assert _writer_peak(_table(20_000, seed=1)) < 2 * one_block
+
+
+def _pairs_writer_peak(blocks: int) -> int:
+    """write_pairs's peak over a generator of blocks * BLOCK_ROWS examples.
+
+    The examples draw their texts from one pool, as pairs of one corpus
+    repeat its claims, so the writer's encoded strings stop growing in
+    the first block.
+    """
+    texts = [f"claim {i}: " + "a \"quoted\" word é " * 8 for i in range(300)]
+
+    def examples():
+        for i in range(blocks * BLOCK_ROWS):
+            yield SpecificityExample(
+                f"t{i % 7}", f"c{i % 300}", f"c{i * 7 % 300}", texts[i % 300],
+                texts[i * 7 % 300], 1 + i % 5, SpecificityLabel.FIRST_MORE_SPECIFIC, None,
+            )
+
+    tracemalloc.start()
+    try:
+        assert write_pairs(examples(), _Discard()) == blocks * BLOCK_ROWS
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pairs_writer_memory_is_held_to_about_one_block():
+    # written whole, 20 blocks of lines would peak near 20x one block
+    assert _pairs_writer_peak(20) < 2 * _pairs_writer_peak(1)
 
 
 def _good(index: int) -> dict:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import features_reference as ref
@@ -44,11 +45,25 @@ values = st.one_of(
 )
 
 
+# Values the writer must render as json.dumps does: non-finite floats as
+# NaN / Infinity / -Infinity, and -0.0 apart from 0.0.
+ODD_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16)
+# Labels, topic ids and dense names that JSON escapes or keeps as they are.
+ODD_TEXTS = st.text(
+    alphabet=st.sampled_from('a"\\/\x00\x1f\t\n\u2028\u2029é中\U0001f600 '), max_size=6
+)
+
+
 @st.composite
-def feature_files(draw, float_values=False, full_dense=False):
-    """(header, rows) of a features file; each row is the dict one line holds."""
+def feature_files(draw, float_values=False, full_dense=False, odd=False):
+    """(header, rows) of a features file; each row is the dict one line holds.
+
+    odd, for the writer test, adds ODD_FLOATS to the values and ODD_TEXTS
+    to labels, topic ids and dense names.
+    """
     n_sparse = draw(st.integers(0, 6))
-    dense_names = draw(st.lists(st.sampled_from(DENSE_POOL), unique=True, max_size=3))
+    dense_pool = DENSE_POOL + ('ré"d\\', "\x01\u2028") if odd else DENSE_POOL
+    dense_names = draw(st.lists(st.sampled_from(dense_pool), unique=True, max_size=3))
     header = {
         "schema": "argtree-features/1",
         "task": "specificity",
@@ -57,6 +72,10 @@ def feature_files(draw, float_values=False, full_dense=False):
         "dense_names": dense_names,
     }
     value = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False) if float_values else values
+    label, topic_id = st.sampled_from(["neg", "pos"]), st.sampled_from(["t0", "t1", "t2"])
+    if odd:
+        value = st.one_of(value, st.sampled_from(ODD_FLOATS))
+        label, topic_id = st.one_of(label, ODD_TEXTS), st.one_of(topic_id, ODD_TEXTS)
     rows = []
     for _ in range(draw(st.integers(0, 8))):
         indices = draw(st.lists(st.integers(0, n_sparse - 1), unique=True, max_size=n_sparse)
@@ -68,10 +87,10 @@ def feature_files(draw, float_values=False, full_dense=False):
             names = draw(st.lists(st.sampled_from(DENSE_POOL), unique=True, max_size=4))
             dense = {name: draw(value) for name in names}
         rows.append({
-            "label": draw(st.sampled_from(["neg", "pos"])),
+            "label": draw(label),
             "sparse": sparse,
             "dense": dense,
-            "topic_id": draw(st.sampled_from(["t0", "t1", "t2"])),
+            "topic_id": draw(topic_id),
             "distance": draw(st.integers(1, 5)),
             "same_stance": draw(st.sampled_from(["n/a", True, False])),
         })
@@ -133,8 +152,14 @@ def test_design_matrix_is_bit_identical_to_the_reference(tmp_path, file):
     )
 
 
-@SETTINGS
-@given(feature_files(float_values=True, full_dense=True))
+@settings(SETTINGS, max_examples=150)
+@given(feature_files(float_values=True, full_dense=True, odd=True))
+@example(({"schema": "argtree-features/1", "task": "stance", "feature_set": "bow",
+           "sparse_names": ["tok0", "tok1"], "dense_names": []},
+          [{"label": 'q"\u2028', "sparse": {}, "dense": {}, "topic_id": "\x00é",
+            "distance": 3, "same_stance": False},
+           {"label": "pos", "sparse": {"0": -0.0, "1": math.nan}, "dense": {}, "topic_id": "t",
+            "distance": 1, "same_stance": "n/a"}]))
 def test_writer_bytes_equal_the_reference_writer(file):
     header, rows = file
     schema = FeatureSchema(
