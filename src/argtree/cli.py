@@ -49,6 +49,7 @@ from .features import (
     write_features,
     write_vocabulary,
 )
+from .jsonl import decode_json, located_error, open_text
 from .models import (
     AnyModel,
     EncoderConfig,
@@ -68,11 +69,8 @@ from .models import (
 )
 from .pairs import (
     SpecificityExample,
-    decode_json,
     derive_specificity_examples,
     derive_stance_examples,
-    located_error,
-    open_text,
     read_pairs_file,
     read_split_file,
     split_by_topic,

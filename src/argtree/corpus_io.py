@@ -12,7 +12,7 @@ import json
 import re
 from typing import IO, Iterable, Iterator, Optional
 
-from .pairs import decode_json, open_text
+from .jsonl import decode_json, open_text
 from .trees import EDGES_BY_VALUE, ArgumentTree, StanceEdge, build_tree, iter_preorder
 
 SCHEMA = "argtree/1"
@@ -142,11 +142,6 @@ def write_corpus(trees: Iterable[ArgumentTree], stream: IO[str]) -> None:
     for tree in trees:
         stream.write(json.dumps(tree_to_record(tree), ensure_ascii=False))
         stream.write("\n")
-
-
-def write_corpus_file(trees: Iterable[ArgumentTree], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        write_corpus(trees, handle)
 
 
 _OUTLINE_RE = re.compile(r"^\s*(\d+(?:\.\d+)*)\.\s+(.*\S)\s*$")

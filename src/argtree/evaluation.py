@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .jsonl import read_document
+
 REPORT_SCHEMA = "argtree-report/1"
 
 
@@ -134,27 +136,27 @@ def dump_report(report: EvalReport, stream) -> None:
     stream.write("\n")
 
 
-def write_report_file(report: EvalReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        dump_report(report, handle)
-
-
 def read_report_file(path: str) -> EvalReport:
-    with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
-    if raw.get("schema") != REPORT_SCHEMA:
-        raise ValueError(f"schema mismatch in report file {path!r}")
+    """Every format error is one ValueError naming the file."""
+    return read_document(path, REPORT_SCHEMA, _report_from_record)
+
+
+def _report_from_record(record: dict) -> EvalReport:
+    strata, per_topic = record["strata"], record.get("per_topic", {})
+    if not isinstance(strata, dict) or not isinstance(per_topic, dict):
+        raise ValueError("strata and per_topic must be JSON objects")
+    for topic, pair in per_topic.items():
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"per_topic {topic!r} must be a [correct, count] pair")
     return EvalReport(
-        task=raw["task"],
-        model=raw["model"],
-        split=raw["split"],
+        task=record["task"],
+        model=record["model"],
+        split=record["split"],
         strata={
             name: Stratum(count=int(entry["count"]), correct=int(entry["correct"]))
-            for name, entry in raw["strata"].items()
+            for name, entry in strata.items()
         },
-        per_topic={
-            topic: (int(pair[0]), int(pair[1])) for topic, pair in raw.get("per_topic", {}).items()
-        },
+        per_topic={topic: (int(pair[0]), int(pair[1])) for topic, pair in per_topic.items()},
     )
 
 

@@ -9,7 +9,6 @@ trainer using training-split statistics.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from collections import Counter
@@ -18,12 +17,10 @@ from typing import IO, TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .pairs import (
+from .jsonl import (
     BLOCK_ROWS,
     SAME_STANCE_JSON,
     EncodedStrings,
-    SpecificityExample,
-    StanceExample,
     decode_json,
     encode_float,
     encode_int,
@@ -31,7 +28,9 @@ from .pairs import (
     json_blocks,
     located_error,
     open_text,
+    read_document,
 )
+from .pairs import SpecificityExample, StanceExample
 from .text import tokenize
 
 if TYPE_CHECKING:
@@ -100,34 +99,23 @@ def write_vocabulary(vocab: Vocabulary, stream: IO[str]) -> None:
     stream.write("\n")
 
 
-def write_vocabulary_file(vocab: Vocabulary, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        write_vocabulary(vocab, handle)
-
-
 def read_vocabulary_file(path: str) -> Vocabulary:
     """Every format error is one ValueError naming the file."""
-    with open_text(path) as handle:
-        text = handle.read()
-        try:
-            record = decode_json(text)
-            if not isinstance(record, dict):
-                raise ValueError("expected a JSON object")
-            if record.get("schema") != VOCAB_SCHEMA:
-                raise ValueError(f"schema mismatch: expected {VOCAB_SCHEMA!r}")
-            tokens = record["tokens"]
-            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-                raise ValueError("tokens must be a list of strings")
-            token_to_index = {t: i for i, t in enumerate(tokens)}
-            if len(token_to_index) != len(tokens):
-                raise ValueError("tokens repeat")
-            return Vocabulary(
-                token_to_index=token_to_index,
-                min_count=int(record["min_count"]),
-                built_from=str(record["built_from"]),
-            )
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise located_error(path, None, exc) from None
+    return read_document(path, VOCAB_SCHEMA, _vocabulary_from_record)
+
+
+def _vocabulary_from_record(record: dict) -> Vocabulary:
+    tokens = record["tokens"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ValueError("tokens must be a list of strings")
+    token_to_index = {t: i for i, t in enumerate(tokens)}
+    if len(token_to_index) != len(tokens):
+        raise ValueError("tokens repeat")
+    return Vocabulary(
+        token_to_index=token_to_index,
+        min_count=int(record["min_count"]),
+        built_from=str(record["built_from"]),
+    )
 
 
 @dataclass
@@ -397,24 +385,6 @@ class FeatureSchema:
     def width(self) -> int:
         return len(self.sparse_names) + len(self.dense_names)
 
-    def tag(self) -> str:
-        payload = json.dumps(
-            [self.task, self.feature_set, self.sparse_names, self.dense_names]
-        ).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()[:16]
-
-
-@dataclass
-class FeatureRecord:
-    """One feature row: the unit `FeatureTable.from_records` takes."""
-
-    label: str
-    sparse: dict[int, float]
-    dense: dict[str, float]
-    topic_id: str
-    distance: int
-    same_stance: Optional[bool]
-
 
 class _RowError(ValueError):
     """A bad row found while building a table; `row` counts from 0."""
@@ -467,21 +437,6 @@ class FeatureTable:
             self.dense.tobytes(),
         )
 
-    @classmethod
-    def from_records(cls, schema: FeatureSchema, records: Iterable[FeatureRecord]) -> FeatureTable:
-        """The table of rows given one record each; a bad sparse index names its record."""
-        columns = _Columns(schema)
-        for record in records:
-            columns.append(
-                record.label, record.topic_id, record.distance, record.same_stance,
-                record.sparse.keys(), record.sparse.values(),
-                [record.dense.get(name, 0.0) for name in schema.dense_names],
-            )
-        try:
-            return columns.table()
-        except _RowError as exc:
-            raise ValueError(f"record {exc.row}: {exc}") from None
-
 
 @dataclass
 class _Block:
@@ -522,22 +477,6 @@ class _Columns:
 
     def __post_init__(self) -> None:
         self.index_of = {str(i): i for i in range(len(self.schema.sparse_names))}
-
-    def append(
-        self,
-        label: str,
-        topic_id: str,
-        distance: int,
-        same_stance: Optional[bool],
-        indices: Iterable[int],
-        data: Iterable[float],
-        dense: list[float],
-    ) -> None:
-        size = len(self.indices)
-        self.indices.extend(indices)
-        self.data.extend(data)
-        self.dense.extend(dense)
-        self._end_row(label, topic_id, distance, same_stance, size)
 
     def _end_row(
         self, label: str, topic_id: str, distance: int, same_stance: Optional[bool], size: int
@@ -827,11 +766,6 @@ def write_features(table: FeatureTable, stream: IO[str]) -> None:
             )
             at += k
         stream.write("".join(lines))
-
-
-def write_features_file(table: FeatureTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        write_features(table, handle)
 
 
 def read_features_file(path: str) -> FeatureTable:

@@ -14,12 +14,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .baselines import LengthBaseline, MajorityBaseline, length_predict, majority_fit
-from .checkpoint import (
-    CheckpointFormatError,
-    dump_checkpoint,
-    read_checkpoint,
-    write_checkpoint,
-)
+from .checkpoint import CheckpointFormatError, dump_checkpoint, read_checkpoint
 from .config import (
     EncoderConfig,
     EpochStats,
@@ -27,58 +22,12 @@ from .config import (
     TrainingDivergedError,
     neural_train_config,
 )
-from .encoder import EncoderVocab, build_encoder_vocab
-from .gradcheck import (
-    LOGREG_TOLERANCE,
-    NEURAL_TOLERANCE,
-    GradCheckResult,
-    gradcheck_logreg,
-    gradcheck_neural,
-)
+from .encoder import EncoderVocab
+from .gradcheck import LOGREG_TOLERANCE, NEURAL_TOLERANCE, gradcheck_logreg, gradcheck_neural
 from .logreg import LogisticRegressionModel, train_logreg
-from .neural import (
-    MODEL_KINDS,
-    NeuralModel,
-    NeuralParams,
-    encoder_count,
-    param_layout,
-    train_neural,
-)
+from .neural import MODEL_KINDS, NeuralModel, encoder_count, param_layout, train_neural
 
 AnyModel = Union[MajorityBaseline, LengthBaseline, LogisticRegressionModel, NeuralModel]
-
-__all__ = [
-    "AnyModel",
-    "CheckpointFormatError",
-    "EncoderConfig",
-    "EncoderVocab",
-    "EpochStats",
-    "GradCheckResult",
-    "LengthBaseline",
-    "LogisticRegressionModel",
-    "LOGREG_TOLERANCE",
-    "MajorityBaseline",
-    "MODEL_KINDS",
-    "NeuralModel",
-    "NeuralParams",
-    "NEURAL_TOLERANCE",
-    "TrainConfig",
-    "TrainingDivergedError",
-    "build_encoder_vocab",
-    "dump_checkpoint",
-    "gradcheck_logreg",
-    "gradcheck_neural",
-    "length_predict",
-    "load_model",
-    "majority_fit",
-    "model_payload",
-    "neural_train_config",
-    "read_checkpoint",
-    "save_model",
-    "train_logreg",
-    "train_neural",
-    "write_checkpoint",
-]
 
 
 def _history_to_meta(history: list[EpochStats]) -> list[list]:
@@ -128,8 +77,8 @@ def model_payload(model: AnyModel) -> tuple[str, int, dict[str, np.ndarray], dic
 
 
 def save_model(model: AnyModel, path: str) -> None:
-    kind, seed, blocks, meta = model_payload(model)
-    write_checkpoint(path, kind, seed, blocks, meta)
+    with open(path, "w", encoding="utf-8") as handle:
+        dump_checkpoint(handle, *model_payload(model))
 
 
 class _Entries(dict):

@@ -29,7 +29,7 @@ from typing import IO, Mapping
 
 import numpy as np
 
-from ..pairs import decode_json
+from ..jsonl import decode_json
 
 SCHEMA = "argtree-model/1"
 
@@ -58,17 +58,6 @@ def dump_checkpoint(
             handle.write(" ".join(map(repr, row.tolist())) + "\n")
     handle.write("[meta]\n")
     handle.write(json.dumps(meta, ensure_ascii=False) + "\n")
-
-
-def write_checkpoint(
-    path: str,
-    kind: str,
-    seed: int,
-    blocks: Mapping[str, np.ndarray],
-    meta: dict,
-) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        dump_checkpoint(handle, kind, seed, blocks, meta)
 
 
 def read_checkpoint(path: str) -> tuple[str, int, dict[str, np.ndarray], dict]:

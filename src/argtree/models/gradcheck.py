@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..features import FeatureRecord, FeatureSchema, FeatureTable
+from ..features import FeatureSchema, FeatureTable, csr_matrix
 from ..pairs import StanceExample, derive_stance_label
 from ..trees import StanceEdge
 from .config import EncoderConfig
@@ -52,27 +52,21 @@ def gradcheck_logreg(seed: int = 0, epsilon: float = EPSILON) -> GradCheckResult
         sparse_names=["tok0", "tok1", "tok2", "tok3"],
         dense_names=["len_diff", "pron_diff"],
     )
-    records = []
+    counts = np.zeros((8, 4))
+    dense = np.zeros((8, 2))
     for i in range(8):
-        sparse = {
-            int(j): float(rng.integers(-3, 4))
-            for j in rng.choice(4, size=2, replace=False)
-        }
-        dense = {
-            "len_diff": float(rng.normal()),
-            "pron_diff": float(rng.normal()),
-        }
-        records.append(
-            FeatureRecord(
-                label="a" if i % 2 else "b",
-                sparse={k: v for k, v in sparse.items() if v != 0.0},
-                dense=dense,
-                topic_id=f"t{i}",
-                distance=1,
-                same_stance=None,
-            )
-        )
-    table = FeatureTable.from_records(schema, records)
+        for j in rng.choice(4, size=2, replace=False):
+            counts[i, j] = rng.integers(-3, 4)
+        dense[i] = rng.normal(), rng.normal()
+    table = FeatureTable(
+        schema=schema,
+        labels=["b", "a"] * 4,
+        topic_ids=[f"t{i}" for i in range(8)],
+        distances=[1] * 8,
+        same_stance=[None] * 8,
+        sparse=csr_matrix(counts),  # a zero count is no entry
+        dense=dense,
+    )
     X = design_matrix(table, np.zeros(2), np.ones(2))
     y = label_vector(table, ["a", "b"])
     w = rng.normal(scale=0.5, size=schema.width)

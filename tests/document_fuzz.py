@@ -1,6 +1,6 @@
 """Fuzz inputs for the readers of JSON files: whole-file documents and JSON lines.
 
-A reader of a document (a split, a vocabulary) must either parse an input
+A reader of a document (a split, a vocabulary, a report) must either parse an input
 or raise its one located error, "<path>: <reason>"; a reader of JSON lines
 (pairs, features, a corpus) names the line as well. Any other exception,
 OverflowError for a number too large for a float among them, fails.
@@ -61,3 +61,18 @@ def corpus_record_mutations(line: str):
     marked = json.dumps(dict(record, claims=claims[:-1] + [_MARK]))
     for claim in json_mutations(json.dumps(claims[-1])):
         yield marked.replace(json.dumps(_MARK), claim)
+
+
+def report_mutations(text: str):
+    """json_mutations of an evaluation report, then its first stratum and its first
+    per-topic pair each mutated, or replaced by ODD_VALUES, NOT_OBJECTS or a list
+    of the wrong length."""
+    yield from json_mutations(text)
+    record = json.loads(text)
+    for part in ("strata", "per_topic"):
+        first = next(iter(record[part]))
+        marked = json.dumps(dict(record, **{part: dict(record[part], **{first: _MARK})}))
+        entry = json.dumps(record[part][first])
+        shapes = json_mutations(entry) if part == "strata" else ("[1]", "[1, 2, 3]", entry[:-1])
+        for value in (*ODD_VALUES, *NOT_OBJECTS, *shapes):
+            yield marked.replace(json.dumps(_MARK), value)

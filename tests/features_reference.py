@@ -4,19 +4,59 @@ This is the original list-of-records implementation of the features file
 reader and writer and of the logistic regression's design matrix,
 standardization statistics and label vector. The library keeps features
 as one columnar table; the tests compare its parse, its file bytes and
-its CSR matrices with the results of these loops.
+its CSR matrices with the results of these loops, and build small tables
+from records with `table_from_records`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, Sequence
+from dataclasses import dataclass
+from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from argtree.features import FEATURES_SCHEMA, FeatureRecord, FeatureSchema, FeatureTable
-from argtree.pairs import located_error
+from argtree.features import FEATURES_SCHEMA, FeatureSchema, FeatureTable
+from argtree.jsonl import located_error
+
+
+@dataclass
+class FeatureRecord:
+    """One feature row."""
+
+    label: str
+    sparse: dict[int, float]
+    dense: dict[str, float]
+    topic_id: str
+    distance: int
+    same_stance: Optional[bool]
+
+
+def table_from_records(schema: FeatureSchema, records: Iterable[FeatureRecord]) -> FeatureTable:
+    """The table of one row per record: its stored sparse entries in index order,
+    a dense name the record does not give reading 0.0."""
+    records = list(records)
+    rows = [sorted(record.sparse.items()) for record in records]
+    width = len(schema.sparse_names)
+    if any(not 0 <= index < width for row in rows for index, _ in row):
+        raise ValueError(f"a sparse index is out of range [0, {width})")
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    indices = np.array([index for row in rows for index, _ in row], dtype=np.int64)
+    data = np.array([value for row in rows for _, value in row], dtype=np.float64)
+    dense = np.array(
+        [[record.dense.get(name, 0.0) for name in schema.dense_names] for record in records],
+        dtype=np.float64,
+    ).reshape(len(records), len(schema.dense_names))
+    return FeatureTable(
+        schema=schema,
+        labels=[record.label for record in records],
+        topic_ids=[record.topic_id for record in records],
+        distances=[record.distance for record in records],
+        same_stance=[record.same_stance for record in records],
+        sparse=sp.csr_matrix((data, indices, indptr), shape=(len(records), width)),
+        dense=dense,
+    )
 
 
 def table_records(table: FeatureTable) -> list[FeatureRecord]:

@@ -18,14 +18,13 @@ from unittest import mock
 from argtree import corpus_io
 from argtree.corpus_io import CorpusFormatError
 from argtree.features import FEATURES_SCHEMA, FeatureSchema, FeatureTable, _Columns, _RowError
+from argtree.jsonl import located_error, open_text
 from argtree.pairs import (
     SpecificityExample,
     SpecificityLabel,
     StanceExample,
     StanceLabel,
     _check_path,
-    located_error,
-    open_text,
 )
 from argtree.trees import ArgumentTree, StanceEdge
 
@@ -48,9 +47,12 @@ def _read_row(row: object, columns: _Columns) -> None:
     distance = int(row["distance"])
     if not isinstance(label, str) or not isinstance(topic_id, str):
         raise ValueError("label and topic_id must be strings")
-    columns.append(
-        label, topic_id, distance, None if same_stance == "n/a" else bool(same_stance),
-        indices, data, [values.get(name, 0.0) for name in columns.schema.dense_names],
+    size = len(columns.indices)
+    columns.indices.extend(indices)
+    columns.data.extend(data)
+    columns.dense.extend([values.get(name, 0.0) for name in columns.schema.dense_names])
+    columns._end_row(
+        label, topic_id, distance, None if same_stance == "n/a" else bool(same_stance), size
     )
 
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from argtree.features import FeatureRecord, FeatureSchema, FeatureTable
+from argtree.features import FeatureSchema
 from argtree.models import (
     EncoderConfig,
     LengthBaseline,
@@ -19,19 +19,16 @@ from argtree.models import (
     train_logreg,
     train_neural,
 )
-from argtree.models.checkpoint import (
-    SCHEMA,
-    CheckpointFormatError,
-    read_checkpoint,
-    write_checkpoint,
-)
+from argtree.models.checkpoint import SCHEMA, CheckpointFormatError, dump_checkpoint, read_checkpoint
 from argtree.pairs import StanceExample, StanceLabel
 from argtree.trees import StanceEdge
+from features_reference import FeatureRecord, table_from_records
 
 
 def _write(tmp_path, name, kind, seed, blocks, meta):
     path = str(tmp_path / name)
-    write_checkpoint(path, kind, seed, blocks, meta)
+    with open(path, "w", encoding="utf-8") as handle:
+        dump_checkpoint(handle, kind, seed, blocks, meta)
     return path
 
 
@@ -164,8 +161,8 @@ def _logreg_fixture():
                 same_stance=None,
             )
         )
-    first_six = FeatureTable.from_records(schema, records[:6])
-    return FeatureTable.from_records(schema, records), first_six
+    first_six = table_from_records(schema, records[:6])
+    return table_from_records(schema, records), first_six
 
 
 def test_logreg_round_trip(tmp_path):
@@ -344,7 +341,7 @@ def test_every_model_kind_predicts_only_the_data_it_reads():
         logreg.predict_labels(examples)
     narrower = FeatureSchema("stance", "both", sparse_names=["t0", "t1"], dense_names=["len"])
     with pytest.raises(ValueError, match="does not match the model's feature space"):
-        logreg.predict_labels(FeatureTable.from_records(narrower, []))
+        logreg.predict_labels(table_from_records(narrower, []))
     with pytest.raises(ValueError, match="needs a derived-pairs file"):
         LengthBaseline().predict_labels(table)
     with pytest.raises(ValueError, match="needs a derived-pairs file"):

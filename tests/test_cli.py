@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -1392,3 +1393,25 @@ def test_commands_that_build_no_sparse_matrix_never_load_scipy(pipeline, tmp_pat
     *lean, (_, featurize) = loaded
     assert all(modules == [] for _, modules in lean), lean
     assert "scipy.sparse" in featurize
+
+
+def test_package_root_loads_no_submodule_numpy_or_scipy():
+    """`import argtree` defines the version only: every other name is a submodule's."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(argtree.__file__)))
+    script = (
+        "import json, sys, argtree; print(json.dumps(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('argtree', 'numpy', 'scipy'))))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert json.loads(completed.stdout) == ["argtree"]
+
+
+def test_package_version_is_the_project_version():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(argtree.__file__)))
+    with open(os.path.join(os.path.dirname(src), "pyproject.toml"), encoding="utf-8") as handle:
+        project = handle.read().split("[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^version = "(.*)"$', project, re.M).group(1) == argtree.__version__

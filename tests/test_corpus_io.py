@@ -15,7 +15,6 @@ from argtree.corpus_io import (
     parse_corpus_file,
     tree_to_record,
     write_corpus,
-    write_corpus_file,
 )
 from argtree.trees import StanceEdge, validate_tree
 
@@ -26,7 +25,8 @@ def _trees_equal(a, b) -> bool:
 
 def test_round_trip_preserves_everything(uniform_corpus, tmp_path):
     path = str(tmp_path / "corpus.jsonl")
-    write_corpus_file(uniform_corpus, path)
+    with open(path, "w", encoding="utf-8") as handle:
+        write_corpus(uniform_corpus, handle)
     back = parse_corpus_file(path)
     assert len(back) == len(uniform_corpus)
     for original, parsed in zip(uniform_corpus, back):

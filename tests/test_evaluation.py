@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 
 from argtree.evaluation import (
     EvalItem,
     EvalReport,
     Stratum,
     accuracy,
+    dump_report,
     merge_reports_wide,
     paired_t_test,
     paired_topic_vectors,
@@ -25,7 +29,12 @@ from argtree.evaluation import (
     stratum_sort_key,
     student_t_two_sided_p,
     wide_table_text,
-    write_report_file,
+)
+from document_fuzz import (
+    DOCUMENT_FUZZ,
+    arbitrary_text,
+    assert_parses_or_one_file_error,
+    report_mutations,
 )
 
 
@@ -118,7 +127,8 @@ def test_stratum_sort_order():
 def test_report_round_trip(tmp_path):
     report = stratified_eval(FIXTURE_ITEMS, task="stance", model="m", split="dev")
     path = str(tmp_path / "report.json")
-    write_report_file(report, path)
+    with open(path, "w", encoding="utf-8") as handle:
+        dump_report(report, handle)
     loaded = read_report_file(path)
     assert loaded == report
 
@@ -127,6 +137,64 @@ def test_report_schema_checked(tmp_path):
     path = tmp_path / "report.json"
     path.write_text('{"schema": "other/1"}', encoding="utf-8")
     with pytest.raises(ValueError, match="schema mismatch"):
+        read_report_file(str(path))
+
+
+@DOCUMENT_FUZZ
+@given(
+    st.lists(
+        st.builds(
+            EvalItem,
+            topic_id=st.text(max_size=4),
+            distance=st.integers(1, 4),
+            same_stance=st.sampled_from([None, True, False]),
+            gold=st.sampled_from(["supports", "opposes"]),
+            predicted=st.sampled_from(["supports", "opposes"]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    arbitrary_text,
+)
+def test_report_file_round_trips_and_bad_input_is_one_file_error(tmp_path, items, arbitrary):
+    report = stratified_eval(items, task="stance", model="m", split="test")
+    buf = io.StringIO()
+    dump_report(report, buf)
+    path = tmp_path / "report.json"
+    path.write_text(buf.getvalue(), encoding="utf-8")
+    assert read_report_file(str(path)) == report
+    for text in [arbitrary, *report_mutations(buf.getvalue())]:
+        assert_parses_or_one_file_error(read_report_file, path, text)
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("[1, 2]", "expected a JSON object"),
+        ('{"strata": []}', "strata and per_topic must be JSON objects"),
+        ('{"strata": {}, "per_topic": [[1, 2]]}', "strata and per_topic must be JSON objects"),
+        ('{"strata": {}, "per_topic": {"t1": [1]}}', "per_topic 't1' must be a [correct, count] pair"),
+        ('{"strata": {"all": {"count": "x", "correct": 1}}}', "invalid literal for int()"),
+        ('{"strata": {"all": {"count": 1e999, "correct": 1}}}', "cannot convert float infinity"),
+        ('{"strata": {"all": {"count": 1}}}', "missing field 'correct'"),
+        ("[" * 100_000 + "]" * 100_000, "invalid JSON (nested too deeply)"),
+    ],
+)
+def test_bad_report_is_one_file_error(tmp_path, text, reason):
+    path = tmp_path / "report.json"
+    header = '{"schema": "argtree-report/1", "task": "stance", "model": "m", "split": "test", '
+    if text.startswith("{"):
+        text = header + text[1:]
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        read_report_file(str(path))
+    assert str(excinfo.value).startswith(f"{path}: {reason}")
+
+
+def test_report_that_is_not_utf8_is_one_file_error(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_bytes(b'{"schema": "argtree-report/1", "task": "\xff"}')
+    with pytest.raises(ValueError, match=r": not UTF-8 text \(invalid start byte\)$"):
         read_report_file(str(path))
 
 

@@ -20,7 +20,6 @@ import pytest
 
 import features_reference as ref
 from argtree.features import (
-    BLOCK_ROWS,
     SPECIFICITY_DENSE_NAMES,
     FeatureSchema,
     FeatureTable,
@@ -28,6 +27,7 @@ from argtree.features import (
     read_features_file,
     write_features,
 )
+from argtree.jsonl import BLOCK_ROWS
 from argtree.models.logreg import design_matrix, standardization_stats
 from argtree.pairs import SpecificityExample, SpecificityLabel, write_pairs
 
@@ -92,7 +92,7 @@ def _assert_matches_reference(path: str) -> FeatureTable:
         )
         assert list(got.sparse.items()) == sorted(want.sparse.items())
         assert got.dense == {name: want.dense.get(name, 0.0) for name in schema.dense_names}
-    assert FeatureTable.from_records(schema, records) == table
+    assert ref.table_from_records(schema, records) == table
     mean, std = standardization_stats(table)
     _assert_same_csr(design_matrix(table, mean, std), ref.design_matrix(records, schema, mean, std))
     return table

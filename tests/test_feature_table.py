@@ -22,12 +22,7 @@ from hypothesis import strategies as st
 
 import features_reference as ref
 import reader_reference
-from argtree.features import (
-    FeatureSchema,
-    FeatureTable,
-    read_features_file,
-    write_features,
-)
+from argtree.features import FeatureSchema, read_features_file, write_features
 from argtree.models.logreg import design_matrix, label_vector, standardization_stats
 from document_fuzz import json_mutations
 
@@ -131,7 +126,7 @@ def test_table_equals_the_reference_records(tmp_path, file):
         assert got.sparse == want.sparse
         assert list(got.sparse) == sorted(want.sparse)
         assert got.dense == {name: want.dense.get(name, 0.0) for name in schema.dense_names}
-    assert FeatureTable.from_records(schema, records) == table
+    assert ref.table_from_records(schema, records) == table
 
 
 @SETTINGS
@@ -170,7 +165,7 @@ def test_writer_bytes_equal_the_reference_writer(file):
     )
     records = [ref._feature_record(row) for row in rows]
     got, want = io.StringIO(), io.StringIO()
-    write_features(FeatureTable.from_records(schema, records), got)
+    write_features(ref.table_from_records(schema, records), got)
     ref.write_features(schema, records, want)
     assert got.getvalue() == want.getvalue()
 

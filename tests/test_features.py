@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from argtree.features import (
     STOP_LIST_SIZE,
     EmbeddingTable,
-    FeatureRecord,
     FeatureSchema,
     Lexicon,
     Vocabulary,
@@ -23,8 +22,8 @@ from argtree.features import (
     read_features_file,
     read_lexicon_file,
     read_vocabulary_file,
-    write_features_file,
-    write_vocabulary_file,
+    write_features,
+    write_vocabulary,
 )
 from argtree.pairs import (
     SpecificityExample,
@@ -41,7 +40,7 @@ from document_fuzz import (
     assert_parses_or_one_file_error,
     json_mutations,
 )
-from features_reference import table_records
+from features_reference import FeatureRecord, table_records
 
 
 LEXICON = Lexicon(
@@ -102,7 +101,8 @@ def test_stop_tokens_take_the_head():
 def test_vocabulary_file_round_trip(tmp_path):
     vocab = build_vocabulary(["alpha beta beta gamma gamma"], min_count=1)
     path = str(tmp_path / "vocab.json")
-    write_vocabulary_file(vocab, path)
+    with open(path, "w", encoding="utf-8") as handle:
+        write_vocabulary(vocab, handle)
     back = read_vocabulary_file(path)
     assert back.token_to_index == vocab.token_to_index
     assert back.min_count == vocab.min_count
@@ -124,7 +124,8 @@ def test_vocabulary_file_round_trips_and_bad_input_is_one_file_error(
         built_from=built_from,
     )
     path = tmp_path / "vocab.json"
-    write_vocabulary_file(vocab, str(path))
+    with open(path, "w", encoding="utf-8") as handle:
+        write_vocabulary(vocab, handle)
     assert read_vocabulary_file(str(path)) == vocab
     for text in [arbitrary, *json_mutations(path.read_text(encoding="utf-8"))]:
         assert_parses_or_one_file_error(read_vocabulary_file, path, text)
@@ -251,7 +252,8 @@ def test_featurize_specificity_schema_and_round_trip(uniform_corpus, tmp_path):
     assert len(records) == len(examples)
 
     path = str(tmp_path / "features.txt")
-    write_features_file(records, path)
+    with open(path, "w", encoding="utf-8") as handle:
+        write_features(records, handle)
     records_back = read_features_file(path)
     assert records_back.schema == schema
     assert records_back == records
@@ -275,7 +277,7 @@ def test_featurize_stance_endpoint_vs_path(uniform_corpus, tmp_path):
     schema_end, schema_path = table_end.schema, table_path.schema
     assert schema_end.feature_set == "endpoint"
     assert schema_path.feature_set == "path"
-    assert schema_end.tag() != schema_path.tag()
+    assert schema_end != schema_path
     # Distance-one records agree because the path is just (ancestor, descendant).
     records_end, records_path = table_records(table_end), table_records(table_path)
     for e, r_end, r_path in zip(examples, records_end, records_path):
@@ -284,7 +286,8 @@ def test_featurize_stance_endpoint_vs_path(uniform_corpus, tmp_path):
             assert r_end.dense == r_path.dense
 
     path = str(tmp_path / "stance.txt")
-    write_features_file(table_path, path)
+    with open(path, "w", encoding="utf-8") as handle:
+        write_features(table_path, handle)
     table_back = read_features_file(path)
     assert table_back.schema == schema_path
     assert table_back == table_path
@@ -339,8 +342,7 @@ def test_feature_records_keep_strata_fields(uniform_corpus):
         assert record.label == example.label.value
 
 
-def test_schema_tag_is_sensitive_to_names():
+def test_schemas_with_other_names_differ():
     a = FeatureSchema(task="stance", feature_set="endpoint", sparse_names=["x"], dense_names=["d"])
     b = FeatureSchema(task="stance", feature_set="endpoint", sparse_names=["y"], dense_names=["d"])
-    assert a.tag() != b.tag()
-    assert len(a.tag()) == 16
+    assert a != b

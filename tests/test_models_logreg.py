@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from argtree.features import FeatureRecord, FeatureSchema, FeatureTable
+from argtree.features import FeatureSchema
 from argtree.models import TrainConfig, TrainingDivergedError, train_logreg
 from argtree.models.logreg import (
     _sigmoid,
@@ -14,6 +14,7 @@ from argtree.models.logreg import (
     loss_and_grad,
     standardization_stats,
 )
+from features_reference import FeatureRecord, table_from_records
 
 
 def _schema(n_sparse: int = 3, dense=("bias_feat",)) -> FeatureSchema:
@@ -44,12 +45,12 @@ SEPARABLE_RECORDS = [
     _record("pos", {1: -1.0, 2: 1.0}, 0.5),
     _record("pos", {2: 3.0}, 1.2),
 ]
-SEPARABLE = FeatureTable.from_records(_schema(), SEPARABLE_RECORDS)
+SEPARABLE = table_from_records(_schema(), SEPARABLE_RECORDS)
 
 
 def test_standardization_stats_zero_std_guard():
     schema = _schema(dense=("constant",))
-    records = FeatureTable.from_records(schema, [
+    records = table_from_records(schema, [
         FeatureRecord("a", {}, {"constant": 4.0}, "t", 1, None),
         FeatureRecord("b", {}, {"constant": 4.0}, "t", 1, None),
     ])
@@ -60,7 +61,7 @@ def test_standardization_stats_zero_std_guard():
 
 def test_design_matrix_layout():
     schema = _schema()
-    records = FeatureTable.from_records(schema, SEPARABLE_RECORDS[:2])
+    records = table_from_records(schema, SEPARABLE_RECORDS[:2])
     mean, std = standardization_stats(records)
     X = design_matrix(records, mean, std)
     assert X.shape == (2, 4)  # 3 sparse + 1 dense
@@ -73,7 +74,7 @@ def test_label_vector_uses_sorted_positive_class():
     y = label_vector(SEPARABLE, ["neg", "pos"])
     assert y.tolist() == [0, 0, 0, 1, 1, 1]
     with pytest.raises(ValueError):
-        other = FeatureTable.from_records(_schema(), [_record("other", {}, 0.0)])
+        other = table_from_records(_schema(), [_record("other", {}, 0.0)])
         label_vector(other, ["neg", "pos"])
 
 
@@ -153,7 +154,7 @@ def test_divergent_learning_rate_raises():
 
 
 def test_training_rejects_single_class():
-    only_pos = FeatureTable.from_records(
+    only_pos = table_from_records(
         _schema(), [r for r in SEPARABLE_RECORDS if r.label == "pos"]
     )
     with pytest.raises(ValueError, match="single class"):

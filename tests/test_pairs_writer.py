@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import writer_reference as ref
+from argtree.jsonl import BLOCK_ROWS
 from argtree.pairs import (
-    BLOCK_ROWS,
     SpecificityExample,
     SpecificityLabel,
     StanceExample,

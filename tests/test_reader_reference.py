@@ -24,13 +24,12 @@ from hypothesis import strategies as st
 import reader_reference as ref
 from argtree.corpus_io import parse_corpus_file, write_corpus
 from argtree.features import read_features_file
+from argtree.jsonl import DECODE_LINES, json_blocks
 from argtree.pairs import (
-    DECODE_LINES,
     SpecificityExample,
     SpecificityLabel,
     StanceExample,
     derive_stance_label,
-    json_blocks,
     read_pairs_file,
     write_pairs,
 )
