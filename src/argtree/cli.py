@@ -31,10 +31,11 @@ from .evaluation import (
     merge_reports_wide,
     paired_t_test,
     paired_topic_vectors,
-    report_csv_rows,
+    read_report_csvs,
     report_to_text,
     stratified_eval,
     wide_table_text,
+    write_report_csv,
 )
 from .features import (
     FeatureTable,
@@ -68,9 +69,11 @@ from .models import (
     NEURAL_TOLERANCE,
 )
 from .pairs import (
+    DEFAULT_MAX_DISTANCE,
     SpecificityExample,
     derive_specificity_examples,
     derive_stance_examples,
+    example_texts,
     read_pairs_file,
     read_split_file,
     split_by_topic,
@@ -79,9 +82,7 @@ from .pairs import (
     write_split,
 )
 from .synth import SynthConfig, generate_corpus
-from .trees import BrokenTreeError, validate_tree
-
-DEFAULT_MAX_DISTANCE = {"specificity": 5, "stance": 4}
+from .trees import validate_tree
 
 T = TypeVar("T")
 
@@ -191,15 +192,6 @@ def _atomic_write(path: str, writer: Callable[[IO[str]], T]) -> T:
     return result
 
 
-@contextlib.contextmanager
-def _walking_corpus(path: str):
-    """A broken tree met while walking the corpus at path becomes <path>:<line>: <reason>."""
-    try:
-        yield
-    except BrokenTreeError as exc:
-        raise corpus_io.CorpusFormatError(exc.tree.line_no, str(exc), source=path) from None
-
-
 def _detect_dataset_kind(path: str) -> str:
     """'features' for feature files, 'pairs' for derived-pair files."""
     with open_text(path) as handle:
@@ -284,7 +276,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     trees = corpus_io.parse_corpus_file(args.file)
     # corpus_stats checks every claim and walks its parent chain, so a broken tree fails here
-    with _walking_corpus(args.file):
+    with corpus_io.located_in(args.file):
         text = stats_mod.corpus_stats(trees).to_text()
     if args.per_tree:
         for tree in trees:
@@ -367,7 +359,7 @@ def cmd_derive_pairs(args: argparse.Namespace) -> int:
     else:
         examples = derive_stance_examples(trees, max_distance=max_distance)
     # the examples are derived as they are written, so a broken tree ends the write
-    with _walking_corpus(args.corpus):
+    with corpus_io.located_in(args.corpus):
         count = _atomic_write(args.out, lambda handle: write_pairs(examples, handle))
     _log(f"derive-pairs: {count} {args.task} example(s) -> {args.out}")
     return 0
@@ -388,10 +380,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
         vocab = read_vocabulary_file(args.vocab)
     else:
         min_count = int(config.get("min_count", 2))
-        if task == "specificity":
-            texts = [t for ex in examples for t in (ex.first_text, ex.second_text)]
-        else:
-            texts = [t for ex in examples for t in ex.path_texts]
+        texts = [text for example in examples for text in example_texts(example)]
         vocab = build_vocabulary(texts, min_count=min_count, built_from=args.pairs)
         _atomic_write(args.vocab, lambda handle: write_vocabulary(vocab, handle))
         _log(f"featurize: built vocabulary ({len(vocab)} tokens) -> {args.vocab}")
@@ -478,9 +467,6 @@ def _evaluate(
     return stratified_eval(items, task=model.task, model=name, split=split)
 
 
-_STRATA_CSV_FIELDS = ["task", "model", "split", "stratum", "count", "correct", "accuracy"]
-
-
 def _filter_strata(report: EvalReport, requested: Optional[list[str]]) -> EvalReport:
     if requested is None:
         return report
@@ -515,14 +501,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     data = _read_data(args.test, model.task)
     report = _evaluate(model, data, args.name or model.kind, args.split_name)
     filtered = _filter_strata(report, requested)
-
-    def writer(handle: IO[str]) -> None:
-        writer_obj = csv.DictWriter(handle, fieldnames=_STRATA_CSV_FIELDS, lineterminator="\n")
-        writer_obj.writeheader()
-        for row in report_csv_rows(filtered):
-            writer_obj.writerow(row)
-
-    _atomic_write(args.out, writer)
+    _atomic_write(args.out, lambda handle: write_report_csv([filtered], handle))
     if args.json:
         _atomic_write(args.json, lambda handle: dump_report(report, handle))
     print(report_to_text(filtered), end="")
@@ -530,58 +509,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reports_from_csv_files(paths: Sequence[str]) -> list[EvalReport]:
-    """Reports in order of first appearance; a bad row is "<path>:<line>: <reason>"."""
-    reports: dict[str, EvalReport] = {}
-    for path in paths:
-        with open_text(path) as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None or set(_STRATA_CSV_FIELDS) - set(reader.fieldnames):
-                raise ValueError(f"{path}: not an evaluation CSV (missing columns)")
-            rows = 0
-            for rows, row in enumerate(reader, start=1):
-                try:
-                    _add_report_row(reports, row)
-                except ValueError as exc:
-                    raise located_error(path, reader.line_num, exc) from None
-            if not rows:
-                raise ValueError(f"{path}: no evaluation rows")
-    return list(reports.values())
-
-
-def _add_report_row(reports: dict[str, EvalReport], row: dict) -> None:
-    missing = [name for name in _STRATA_CSV_FIELDS if row[name] is None]
-    if missing:
-        raise ValueError(f"short row: no {missing[0]!r} field")
-    if None in row:  # csv.DictReader files the fields past the header under None
-        raise ValueError(f"long row: {len(row[None])} field(s) past {_STRATA_CSV_FIELDS[-1]!r}")
-    try:
-        stratum = Stratum(count=int(row["count"]), correct=int(row["correct"]))
-    except ValueError:
-        count, correct = row["count"], row["correct"]
-        raise ValueError(f"count {count!r} or correct {correct!r} is not an integer") from None
-    if min(stratum.count, stratum.correct) < 0:
-        raise ValueError(f"negative count {stratum.count} or correct {stratum.correct}")
-    if stratum.correct > stratum.count:
-        raise ValueError(f"correct {stratum.correct} exceeds count {stratum.count}")
-    model = row["model"]
-    if model not in reports:
-        reports[model] = EvalReport(task=row["task"], model=model, split=row["split"], strata={})
-    if row["stratum"] in reports[model].strata:
-        raise ValueError(f"repeated row for model {model!r}, stratum {row['stratum']!r}")
-    reports[model].strata[row["stratum"]] = stratum
-
-
 def cmd_report(args: argparse.Namespace) -> int:
-    reports = _reports_from_csv_files(args.files)
+    reports = read_report_csvs(args.files)
     header, rows = merge_reports_wide(reports)
-
-    def writer(handle: IO[str]) -> None:
-        writer_obj = csv.writer(handle, lineterminator="\n")
-        writer_obj.writerow(header)
-        writer_obj.writerows(rows)
-
-    _atomic_write(args.out, writer)
+    _atomic_write(
+        args.out, lambda handle: csv.writer(handle, lineterminator="\n").writerows([header, *rows])
+    )
     print(wide_table_text(header, rows), end="")
     _log(f"report: merged {len(reports)} model(s) -> {args.out}")
     return 0
@@ -622,13 +555,14 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     checks = [(kind, False) for kind in kinds]
     if "path-hier" in kinds:
         checks.append(("path-hier", True))
+    seed = resolve_seed(args.seed, {})
     failures = 0
     for kind, one_edge in checks:
         if kind == "logreg":
-            result = gradcheck_logreg(seed=args.seed or 0)
+            result = gradcheck_logreg(seed=seed)
             tolerance = LOGREG_TOLERANCE
         else:
-            result = gradcheck_neural(kind, seed=args.seed or 0, one_edge=one_edge)
+            result = gradcheck_neural(kind, seed=seed, one_edge=one_edge)
             tolerance = NEURAL_TOLERANCE
         ok = result.max_rel_error < tolerance
         status = "ok" if ok else "FAIL"
@@ -696,7 +630,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "--max-distance",
         type=int,
         default=None,
-        help="pair distance cap (default: 5 for specificity, 4 for stance)",
+        help="pair distance cap (default: "
+        + ", ".join(f"{cap} for {task}" for task, cap in DEFAULT_MAX_DISTANCE.items()) + ")",
     )
     p.add_argument("--split", default=None, help="split file to filter topics with")
     p.add_argument("--part", default=None, choices=["train", "dev", "test"])

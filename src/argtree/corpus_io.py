@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from typing import IO, Iterable, Iterator, Optional
 
 from .jsonl import decode_json, open_text
-from .trees import EDGES_BY_VALUE, ArgumentTree, StanceEdge, build_tree, iter_preorder
+from .trees import EDGES_BY_VALUE, ArgumentTree, BrokenTreeError, StanceEdge, build_tree, iter_preorder
 
 SCHEMA = "argtree/1"
 
@@ -34,6 +35,18 @@ class CorpusFormatError(ValueError):
         super().__init__(reason if where is None else f"{where}: {reason}")
         self.line_no = line_no
         self.reason = reason
+
+
+@contextmanager
+def located_in(path: str) -> Iterator[None]:
+    """A CorpusFormatError raised within, or a BrokenTreeError met walking a tree
+    parsed from path, becomes "<path>:<line>: <reason>"."""
+    try:
+        yield
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(exc.line_no, exc.reason, source=path) from None
+    except BrokenTreeError as exc:
+        raise CorpusFormatError(exc.tree.line_no, str(exc), source=path) from None
 
 
 _CLAIM_FIELDS = frozenset(("id", "parent", "stance", "text"))
@@ -110,11 +123,8 @@ def parse_corpus(stream: IO[str] | Iterable[str]) -> Iterator[ArgumentTree]:
 
 def parse_corpus_file(path: str) -> list[ArgumentTree]:
     """Every tree of a corpus file; an error reads "<path>:<line>: <reason>"."""
-    with open_text(path) as handle:
-        try:
-            return list(parse_corpus(handle))
-        except CorpusFormatError as exc:
-            raise CorpusFormatError(exc.line_no, exc.reason, source=path) from None
+    with open_text(path) as handle, located_in(path):
+        return list(parse_corpus(handle))
 
 
 def tree_to_record(tree: ArgumentTree) -> dict:
@@ -192,8 +202,5 @@ def import_outline(lines: Iterable[str], topic_id: str, tags: frozenset[str] = f
 
 def import_outline_file(path: str, topic_id: str, tags: frozenset[str] = frozenset()) -> ArgumentTree:
     """The outline file's tree; an error reads "<path>:<line>: <reason>"."""
-    with open_text(path) as handle:
-        try:
-            return import_outline(handle, topic_id=topic_id, tags=tags)
-        except CorpusFormatError as exc:
-            raise CorpusFormatError(exc.line_no, exc.reason, source=path) from None
+    with open_text(path) as handle, located_in(path):
+        return import_outline(handle, topic_id=topic_id, tags=tags)

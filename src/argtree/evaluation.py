@@ -9,22 +9,17 @@ statistics package is needed at runtime.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .jsonl import read_document
+from .jsonl import located_error, open_text, read_document
 
 REPORT_SCHEMA = "argtree-report/1"
-
-
-def accuracy(gold: Sequence[str], predicted: Sequence[str]) -> float:
-    if len(gold) != len(predicted):
-        raise ValueError(f"length mismatch: {len(gold)} gold vs {len(predicted)} predicted")
-    if not gold:
-        raise ValueError("cannot score an empty set")
-    return sum(1 for g, p in zip(gold, predicted) if g == p) / len(gold)
+# The columns of the long-format evaluation CSV, one row per (model, stratum).
+CSV_FIELDS = ["task", "model", "split", "stratum", "count", "correct", "accuracy"]
 
 
 @dataclass
@@ -48,6 +43,15 @@ class Stratum:
     @property
     def accuracy(self) -> Optional[float]:
         return None if self.count == 0 else self.correct / self.count
+
+
+def checked_stratum(count: int, correct: int) -> Stratum:
+    """Stratum(count, correct) if stratified_eval could count it; both report readers check here."""
+    if min(count, correct) < 0:
+        raise ValueError(f"negative count {count} or correct {correct}")
+    if correct > count:
+        raise ValueError(f"correct {correct} exceeds count {count}")
+    return Stratum(count, correct)
 
 
 @dataclass
@@ -145,15 +149,18 @@ def _report_from_record(record: dict) -> EvalReport:
     strata, per_topic = record["strata"], record.get("per_topic", {})
     if not isinstance(strata, dict) or not isinstance(per_topic, dict):
         raise ValueError("strata and per_topic must be JSON objects")
+    fields = [record["task"], record["model"], record["split"]]
+    if not all(isinstance(value, str) for value in fields):
+        raise ValueError("task, model and split must be strings")
     for topic, pair in per_topic.items():
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"per_topic {topic!r} must be a [correct, count] pair")
+        if checked_stratum(count=int(pair[1]), correct=int(pair[0])).count == 0:
+            raise ValueError(f"per_topic {topic!r} counts no examples")
     return EvalReport(
-        task=record["task"],
-        model=record["model"],
-        split=record["split"],
+        *fields,
         strata={
-            name: Stratum(count=int(entry["count"]), correct=int(entry["correct"]))
+            name: checked_stratum(count=int(entry["count"]), correct=int(entry["correct"]))
             for name, entry in strata.items()
         },
         per_topic={topic: (int(pair[0]), int(pair[1])) for topic, pair in per_topic.items()},
@@ -171,23 +178,55 @@ def report_to_text(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_csv_rows(report: EvalReport) -> list[dict[str, str]]:
-    """Long-format rows: one line per (model, stratum)."""
-    rows = []
-    for name in sorted(report.strata, key=stratum_sort_key):
-        stratum = report.strata[name]
-        rows.append(
-            {
-                "task": report.task,
-                "model": report.model,
-                "split": report.split,
-                "stratum": name,
-                "count": str(stratum.count),
-                "correct": str(stratum.correct),
-                "accuracy": "" if stratum.accuracy is None else f"{stratum.accuracy:.6f}",
-            }
-        )
-    return rows
+def write_report_csv(reports: Sequence[EvalReport], stream) -> None:
+    """A CSV_FIELDS header, then one row per (model, stratum), strata in stratum_sort_key order."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
+    for report in reports:
+        fields = [report.task, report.model, report.split]
+        for name in sorted(report.strata, key=stratum_sort_key):
+            stratum = report.strata[name]
+            shown = "" if stratum.accuracy is None else f"{stratum.accuracy:.6f}"
+            writer.writerow([*fields, name, stratum.count, stratum.correct, shown])
+
+
+def read_report_csvs(paths: Sequence[str]) -> list[EvalReport]:
+    """Reports in order of first appearance; a bad row is "<path>:<line>: <reason>"."""
+    reports: dict[str, EvalReport] = {}
+    for path in paths:
+        with open_text(path) as handle:
+            reader = csv.DictReader(handle)
+            if reader.fieldnames is None or set(CSV_FIELDS) - set(reader.fieldnames):
+                raise ValueError(f"{path}: not an evaluation CSV (missing columns)")
+            rows = 0
+            for rows, row in enumerate(reader, start=1):
+                try:
+                    _add_csv_row(reports, row)
+                except ValueError as exc:
+                    raise located_error(path, reader.line_num, exc) from None
+            if not rows:
+                raise ValueError(f"{path}: no evaluation rows")
+    return list(reports.values())
+
+
+def _add_csv_row(reports: dict[str, EvalReport], row: dict) -> None:
+    missing = [name for name in CSV_FIELDS if row[name] is None]
+    if missing:
+        raise ValueError(f"short row: no {missing[0]!r} field")
+    if None in row:  # csv.DictReader files the fields past the header under None
+        raise ValueError(f"long row: {len(row[None])} field(s) past {CSV_FIELDS[-1]!r}")
+    try:
+        count, correct = int(row["count"]), int(row["correct"])
+    except ValueError:
+        count, correct = row["count"], row["correct"]
+        raise ValueError(f"count {count!r} or correct {correct!r} is not an integer") from None
+    stratum = checked_stratum(count, correct)
+    model = row["model"]
+    if model not in reports:
+        reports[model] = EvalReport(task=row["task"], model=model, split=row["split"], strata={})
+    if row["stratum"] in reports[model].strata:
+        raise ValueError(f"repeated row for model {model!r}, stratum {row['stratum']!r}")
+    reports[model].strata[row["stratum"]] = stratum
 
 
 def merge_reports_wide(reports: Sequence[EvalReport]) -> tuple[list[str], list[list[str]]]:

@@ -478,18 +478,6 @@ class _Columns:
     def __post_init__(self) -> None:
         self.index_of = {str(i): i for i in range(len(self.schema.sparse_names))}
 
-    def _end_row(
-        self, label: str, topic_id: str, distance: int, same_stance: Optional[bool], size: int
-    ) -> None:
-        """Closes the row whose sparse entries start at `size`; its values are in already."""
-        self.labels.append(self.strings.setdefault(label, label))
-        self.topic_ids.append(self.strings.setdefault(topic_id, topic_id))
-        self.distances.append(distance)
-        self.same_stance.append(same_stance)
-        self.row_lengths.append(len(self.indices) - size)
-        if len(self.row_lengths) == BLOCK_ROWS:
-            self._pack()
-
     def read_row(self, row: object) -> None:
         """Appends one decoded row of a features file; a bad row raises, and spoils the columns.
 
@@ -524,8 +512,13 @@ class _Columns:
         distance = int(row["distance"])
         if not isinstance(label, str) or not isinstance(topic_id, str):
             raise ValueError("label and topic_id must be strings")
-        same_stance = None if same_stance == "n/a" else bool(same_stance)
-        self._end_row(label, topic_id, distance, same_stance, size)
+        self.labels.append(self.strings.setdefault(label, label))
+        self.topic_ids.append(self.strings.setdefault(topic_id, topic_id))
+        self.distances.append(distance)
+        self.same_stance.append(None if same_stance == "n/a" else bool(same_stance))
+        self.row_lengths.append(len(self.indices) - size)
+        if len(self.row_lengths) == BLOCK_ROWS:
+            self._pack()
 
     def _pack(self) -> None:
         """Moves the open block into arrays, unless an earlier bad index dooms the table."""

@@ -8,7 +8,7 @@ coordinate sweep stays fast enough to run inside the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,6 +44,35 @@ def _relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(1.0, abs(numeric))
 
 
+def _central_differences(
+    blocks: dict[str, np.ndarray], grads: dict[str, np.ndarray], loss: Callable[[], float],
+    epsilon: float,
+) -> GradCheckResult:
+    """grads against central differences of loss() at every coordinate of blocks.
+
+    Each coordinate moves by +-epsilon in place and is put back. The worst
+    reads "<block>[i, j]", or "<block>" for a 0-d block.
+    """
+    max_error = 0.0
+    worst = ""
+    for name, block in blocks.items():
+        iterator = np.nditer(block, flags=["multi_index"])
+        while not iterator.finished:
+            index = iterator.multi_index
+            original = block[index]
+            block[index] = original + epsilon
+            loss_plus = loss()
+            block[index] = original - epsilon
+            loss_minus = loss()
+            block[index] = original
+            numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
+            error = _relative_error(float(grads[name][index]), numeric)
+            if error > max_error:
+                max_error, worst = error, f"{name}{list(index)}" if index else name
+            iterator.iternext()
+    return GradCheckResult(max_error, worst, sum(block.size for block in blocks.values()))
+
+
 def gradcheck_logreg(seed: int = 0, epsilon: float = EPSILON) -> GradCheckResult:
     rng = np.random.default_rng(seed)
     schema = FeatureSchema(
@@ -70,31 +99,15 @@ def gradcheck_logreg(seed: int = 0, epsilon: float = EPSILON) -> GradCheckResult
     X = design_matrix(table, np.zeros(2), np.ones(2))
     y = label_vector(table, ["a", "b"])
     w = rng.normal(scale=0.5, size=schema.width)
-    b = float(rng.normal(scale=0.5))
+    b = np.array(rng.normal(scale=0.5))  # 0-d, so that it is perturbed in place like w
     l2 = 1e-2
 
     _, grad_w, grad_b = loss_and_grad(X, y, w, b, l2)
-    max_error = 0.0
-    worst = "weights"
-    for i in range(len(w)):
-        original = w[i]
-        w[i] = original + epsilon
-        loss_plus, _, _ = loss_and_grad(X, y, w, b, l2)
-        w[i] = original - epsilon
-        loss_minus, _, _ = loss_and_grad(X, y, w, b, l2)
-        w[i] = original
-        numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-        error = _relative_error(grad_w[i], numeric)
-        if error > max_error:
-            max_error, worst = error, f"weights[{i}]"
-    loss_plus, _, _ = loss_and_grad(X, y, w, b + epsilon, l2)
-    loss_minus, _, _ = loss_and_grad(X, y, w, b - epsilon, l2)
-    numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-    error = _relative_error(grad_b, numeric)
-    if error > max_error:
-        max_error, worst = error, "bias"
-    return GradCheckResult(
-        max_rel_error=max_error, worst_block=worst, parameter_count=len(w) + 1
+    return _central_differences(
+        {"weights": w, "bias": b},
+        {"weights": grad_w, "bias": np.array(grad_b)},
+        lambda: loss_and_grad(X, y, w, b, l2)[0],
+        epsilon,
     )
 
 
@@ -198,28 +211,10 @@ def gradcheck_batch(
 ) -> GradCheckResult:
     """Central differences of dataset_loss against batch_loss_and_grads on `batch`."""
     _, grads = batch_loss_and_grads(kind, params, batch, l2)
-    grad_blocks = grads.blocks()
     chunks = list(inference_chunks(params, batch))
-    max_error = 0.0
-    worst = ""
-    for name, block in params.blocks().items():
-        gblock = grad_blocks[name]
-        iterator = np.nditer(block, flags=["multi_index"])
-        while not iterator.finished:
-            index = iterator.multi_index
-            original = block[index]
-            block[index] = original + epsilon
-            loss_plus = dataset_loss(kind, params, batch, l2, chunks)
-            block[index] = original - epsilon
-            loss_minus = dataset_loss(kind, params, batch, l2, chunks)
-            block[index] = original
-            numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-            error = _relative_error(float(gblock[index]), numeric)
-            if error > max_error:
-                max_error, worst = error, f"{name}{list(index)}"
-            iterator.iternext()
-    return GradCheckResult(
-        max_rel_error=max_error,
-        worst_block=worst,
-        parameter_count=params.parameter_count(),
+    return _central_differences(
+        params.blocks(),
+        grads.blocks(),
+        lambda: dataset_loss(kind, params, batch, l2, chunks),
+        epsilon,
     )

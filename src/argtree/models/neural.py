@@ -39,7 +39,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from ..features import FeatureTable
-from ..pairs import SpecificityExample, StanceExample
+from ..pairs import SpecificityExample, StanceExample, example_texts
 from .config import EncoderConfig, EpochStats, TrainConfig, fit, neural_train_config
 from .encoder import (
     EncodeCache,
@@ -89,9 +89,6 @@ class NeuralParams:
     def encoder_index(self, position: IntOrArray) -> IntOrArray:
         """The encoder that reads position `position` (or each of an array's)."""
         return np.minimum(position, len(self.encoders) - 1)
-
-    def encoder_for(self, position: int) -> EncoderParams:
-        return self.encoders[self.encoder_index(position)]
 
     def slots(self) -> Iterator[tuple[str, object, str]]:
         """(name, holder, attribute) of every parameter array, in a canonical order."""
@@ -212,12 +209,6 @@ class PackedDataset:
 
     def __iter__(self) -> Iterator[PackedExample]:
         return (self[i] for i in range(len(self)))
-
-
-def example_texts(example: Example) -> list[str]:
-    if isinstance(example, SpecificityExample):
-        return [example.first_text, example.second_text]
-    return list(example.path_texts)
 
 
 def _sequence_texts(kind: str, example: Example, pair_order: str) -> list[tuple[str, ...]]:
@@ -536,7 +527,6 @@ def train_neural(
     dev_examples: Optional[Sequence[Example]] = None,
     encoder_config: Optional[EncoderConfig] = None,
     train_config: Optional[TrainConfig] = None,
-    vocab: Optional[EncoderVocab] = None,
 ) -> NeuralModel:
     encoder_config = encoder_config or EncoderConfig()
     encoder_config.validate()
@@ -544,11 +534,10 @@ def train_neural(
     train_config.validate()
     if not train_examples:
         raise ValueError("no training examples")
-    if vocab is None:
-        vocab = build_encoder_vocab(
-            (text for example in train_examples for text in example_texts(example)),
-            min_count=encoder_config.min_count,
-        )
+    vocab = build_encoder_vocab(
+        (text for example in train_examples for text in example_texts(example)),
+        min_count=encoder_config.min_count,
+    )
     label_names = sorted({example.label.value for example in train_examples})
     if len(label_names) != 2:
         raise ValueError(f"expected exactly 2 classes, got {label_names}")

@@ -32,8 +32,8 @@ from .jsonl import (
 )
 from .trees import EDGES_BY_VALUE, ArgumentTree, StanceEdge, ancestor_descendant_pairs, path_between
 
-DEFAULT_SPECIFICITY_MAX_DISTANCE = 5
-DEFAULT_STANCE_MAX_DISTANCE = 4
+# The distance cap of each task's pairs when none is given.
+DEFAULT_MAX_DISTANCE = {"specificity": 5, "stance": 4}
 
 
 class SpecificityLabel(Enum):
@@ -80,6 +80,13 @@ class StanceExample:
     same_stance: Optional[bool]
 
 
+def example_texts(example: SpecificityExample | StanceExample) -> Sequence[str]:
+    """The claim texts of an example: its two claims, or its path from the ancestor."""
+    if isinstance(example, SpecificityExample):
+        return (example.first_text, example.second_text)
+    return example.path_texts
+
+
 def derive_stance_label(path_edges: Sequence[StanceEdge]) -> StanceLabel:
     """Supports iff the path carries an even number of con edges."""
     if not path_edges:
@@ -105,7 +112,7 @@ def _same_stance(tree: ArgumentTree, ancestor_id: str, descendant_id: str) -> Op
 
 def derive_specificity_examples(
     trees: Iterable[ArgumentTree],
-    max_distance: int = DEFAULT_SPECIFICITY_MAX_DISTANCE,
+    max_distance: int = DEFAULT_MAX_DISTANCE["specificity"],
     seed: int = 0,
 ) -> Iterator[SpecificityExample]:
     """One example per ancestor/descendant pair within the distance cap.
@@ -143,7 +150,7 @@ def derive_specificity_examples(
 
 def derive_stance_examples(
     trees: Iterable[ArgumentTree],
-    max_distance: int = DEFAULT_STANCE_MAX_DISTANCE,
+    max_distance: int = DEFAULT_MAX_DISTANCE["stance"],
 ) -> Iterator[StanceExample]:
     """One labeled example per pair, with the full ancestor-to-descendant path."""
     for tree in trees:

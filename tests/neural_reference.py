@@ -149,7 +149,7 @@ class ForwardCache:
 
 def forward_example(kind: str, params: NeuralParams, packed: PackedExample) -> ForwardCache:
     encode_caches = [
-        encode(params.encoder_for(k), ids, segments)
+        encode(params.encoders[params.encoder_index(k)], ids, segments)
         for k, (ids, segments) in enumerate(packed.sequences)
     ]
     gru_cache = None
@@ -192,7 +192,8 @@ def backward_example(
         dh_bwd[0] = drep[hidden:]
         dxs = bigru_backward(params.gru, cache.gru_cache, dh_fwd, dh_bwd, grads.gru)
         for k, encode_cache in enumerate(cache.encode_caches):
-            encode_backward(params.encoder_for(k), encode_cache, dxs[k], grads.encoder_for(k))
+            encoder = params.encoder_index(k)
+            encode_backward(params.encoders[encoder], encode_cache, dxs[k], grads.encoders[encoder])
     else:
         encode_backward(params.encoders[0], cache.encode_caches[0], drep, grads.encoders[0])
 

@@ -18,7 +18,7 @@ from unittest import mock
 from argtree import corpus_io
 from argtree.corpus_io import CorpusFormatError
 from argtree.features import FEATURES_SCHEMA, FeatureSchema, FeatureTable, _Columns, _RowError
-from argtree.jsonl import located_error, open_text
+from argtree.jsonl import BLOCK_ROWS, located_error, open_text
 from argtree.pairs import (
     SpecificityExample,
     SpecificityLabel,
@@ -47,13 +47,16 @@ def _read_row(row: object, columns: _Columns) -> None:
     distance = int(row["distance"])
     if not isinstance(label, str) or not isinstance(topic_id, str):
         raise ValueError("label and topic_id must be strings")
-    size = len(columns.indices)
     columns.indices.extend(indices)
     columns.data.extend(data)
     columns.dense.extend([values.get(name, 0.0) for name in columns.schema.dense_names])
-    columns._end_row(
-        label, topic_id, distance, None if same_stance == "n/a" else bool(same_stance), size
-    )
+    columns.labels.append(columns.strings.setdefault(label, label))
+    columns.topic_ids.append(columns.strings.setdefault(topic_id, topic_id))
+    columns.distances.append(distance)
+    columns.same_stance.append(None if same_stance == "n/a" else bool(same_stance))
+    columns.row_lengths.append(len(indices))
+    if len(columns.row_lengths) == BLOCK_ROWS:
+        columns._pack()
 
 
 def read_features_file(path: str) -> FeatureTable:

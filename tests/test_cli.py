@@ -383,6 +383,17 @@ def test_gradcheck_path_hier_runs_both_fixtures(capsys):
     assert all(line.endswith(") ok") for line in lines)
 
 
+def test_gradcheck_reads_the_seed_from_the_environment(monkeypatch, capsys):
+    """gradcheck resolves its seed as the other commands do: --seed, then ARGTREE_SEED, then 0."""
+    monkeypatch.delenv("ARGTREE_SEED", raising=False)
+    assert main(["gradcheck", "--model", "logreg", "--seed", "3"]) == 0
+    flagged = capsys.readouterr().out
+    assert "worst weights[0])" in flagged  # seed 0 finds its worst at weights[4]
+    monkeypatch.setenv("ARGTREE_SEED", "3")
+    assert main(["gradcheck", "--model", "logreg"]) == 0
+    assert capsys.readouterr().out == flagged
+
+
 # ---------------------------------------------------------------------------
 # Exit codes and configuration precedence
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 
@@ -12,10 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from argtree.evaluation import (
+    CSV_FIELDS,
     EvalItem,
     EvalReport,
     Stratum,
-    accuracy,
     dump_report,
     merge_reports_wide,
     paired_t_test,
@@ -23,12 +24,12 @@ from argtree.evaluation import (
     per_topic_accuracies,
     read_report_file,
     regularized_incomplete_beta,
-    report_csv_rows,
     report_to_text,
     stratified_eval,
     stratum_sort_key,
     student_t_two_sided_p,
     wide_table_text,
+    write_report_csv,
 )
 from document_fuzz import (
     DOCUMENT_FUZZ,
@@ -48,6 +49,16 @@ def _item(topic, distance, same_stance, gold, predicted):
     )
 
 
+def _csv_rows(report):
+    """The rows that write_report_csv writes for report, read back by csv.DictReader."""
+    buf = io.StringIO()
+    write_report_csv([report], buf)
+    reader = csv.DictReader(io.StringIO(buf.getvalue()))
+    rows = list(reader)
+    assert reader.fieldnames == CSV_FIELDS
+    return rows
+
+
 FIXTURE_ITEMS = [
     _item("t1", 1, True, "supports", "supports"),
     _item("t1", 1, False, "supports", "opposes"),
@@ -59,18 +70,7 @@ FIXTURE_ITEMS = [
 
 
 # ---------------------------------------------------------------------------
-# Accuracy and stratification
-
-
-def test_accuracy_counts_matches():
-    assert accuracy(["a", "b", "a"], ["a", "a", "a"]) == pytest.approx(2 / 3)
-
-
-def test_accuracy_rejects_mismatch_and_empty():
-    with pytest.raises(ValueError, match="length mismatch"):
-        accuracy(["a"], ["a", "b"])
-    with pytest.raises(ValueError, match="empty"):
-        accuracy([], [])
+# Stratification
 
 
 def test_stratified_eval_hand_counts():
@@ -106,7 +106,7 @@ def test_empty_stratum_reports_no_accuracy():
     assert report.accuracy_of("d2") is None
     text = report_to_text(report)
     assert "n/a" in text
-    csv_row = [r for r in report_csv_rows(report) if r["stratum"] == "d2"][0]
+    csv_row = [r for r in _csv_rows(report) if r["stratum"] == "d2"][0]
     assert csv_row["accuracy"] == ""
 
 
@@ -178,6 +178,13 @@ def test_report_file_round_trips_and_bad_input_is_one_file_error(tmp_path, items
         ('{"strata": {"all": {"count": 1e999, "correct": 1}}}', "cannot convert float infinity"),
         ('{"strata": {"all": {"count": 1}}}', "missing field 'correct'"),
         ("[" * 100_000 + "]" * 100_000, "invalid JSON (nested too deeply)"),
+        ('{"strata": {"all": {"count": 2, "correct": 5}}}', "correct 5 exceeds count 2"),
+        ('{"strata": {"d0": {"count": -1, "correct": 0}}}', "negative count -1 or correct 0"),
+        ('{"strata": {}, "per_topic": {"t": [9, 1]}}', "correct 9 exceeds count 1"),
+        ('{"strata": {}, "per_topic": {"t": [0, 0]}}', "per_topic 't' counts no examples"),
+        ('{"task": ["x"], "strata": {}}', "task, model and split must be strings"),
+        ('{"model": 3, "strata": {}}', "task, model and split must be strings"),
+        ('{"split": null, "strata": {}}', "task, model and split must be strings"),
     ],
 )
 def test_bad_report_is_one_file_error(tmp_path, text, reason):
@@ -215,7 +222,7 @@ def test_report_text_layout():
 
 def test_csv_rows_long_format():
     report = stratified_eval(FIXTURE_ITEMS, task="stance", model="m", split="test")
-    rows = report_csv_rows(report)
+    rows = _csv_rows(report)
     assert [row["stratum"] for row in rows] == ["all", "d1", "d2", "d3", "same-stance"]
     first = rows[0]
     assert first == {

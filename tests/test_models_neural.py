@@ -200,7 +200,7 @@ def test_init_hier_unshared_gets_per_position_encoders():
     names = set(params.blocks())
     assert {"enc0/tok_emb", "enc1/tok_emb", "enc2/tok_emb"} <= names
     # Positions past the roster reuse the last encoder.
-    assert params.encoder_for(7) is params.encoders[2]
+    assert params.encoder_index(7) == 2
 
 
 def test_init_bounds_and_zero_biases():

@@ -8,7 +8,6 @@ exception, or a line number past the end of the file, fails.
 
 from __future__ import annotations
 
-import csv
 import io
 import re
 
@@ -16,9 +15,8 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from argtree.cli import _STRATA_CSV_FIELDS, _reports_from_csv_files
 from argtree.corpus_io import import_outline_file, parse_corpus_file, tree_to_record, write_corpus
-from argtree.evaluation import EvalReport, Stratum, report_csv_rows
+from argtree.evaluation import EvalReport, Stratum, read_report_csvs, write_report_csv
 from argtree.features import Lexicon, read_embeddings_file, read_lexicon_file
 from argtree.trees import StanceEdge, build_tree, iter_preorder
 from document_fuzz import DOCUMENT_FUZZ, ODD_VALUES, arbitrary_text, corpus_record_mutations
@@ -129,16 +127,13 @@ def test_evaluation_csv_round_trips_and_bad_input_is_one_located_error(
     tmp_path, reports, arbitrary
 ):
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_STRATA_CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for report in reports:
-        writer.writerows(report_csv_rows(report))
+    write_report_csv(reports, buf)
     path = tmp_path / "eval.csv"
     path.write_text(buf.getvalue(), encoding="utf-8")
-    assert _reports_from_csv_files([str(path)]) == reports
+    assert read_report_csvs([str(path)]) == reports
     for mutated in [arbitrary, *row_mutations(buf.getvalue(), ",")]:
         assert_parses_or_one_located_error(
-            lambda name: _reports_from_csv_files([name]), path, mutated
+            lambda name: read_report_csvs([name]), path, mutated
         )
 
 

@@ -1,12 +1,15 @@
-"""Every function the benchmark's tracer wraps still exists where it looks.
+"""Every function the benchmark and the scripts take from argtree still exists where they look.
 
-The tracer (`benchmark/tracing.py`) replaces module attributes by name, so
-a refactor that renames or drops one of them would otherwise fail only in
-a traced benchmark run.
+The tracer (`benchmark/tracing.py`) replaces module attributes by name,
+and the benchmark and the scripts import argtree names, some of them
+inside functions. A refactor that renames or drops one of them would
+otherwise fail only in a benchmark run or in the slow self-test.
 """
 
 from __future__ import annotations
 
+import ast
+import glob
 import importlib
 import importlib.util
 import math
@@ -20,7 +23,8 @@ from argtree.models.neural import train_neural
 from argtree.pairs import StanceExample, StanceLabel
 from argtree.trees import StanceEdge
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmark", "tracing.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACING = os.path.join(ROOT, "benchmark", "tracing.py")
 
 
 def _load_tracing(monkeypatch):
@@ -40,6 +44,50 @@ def test_every_layer_hook_resolves_to_a_callable(monkeypatch):
         f"{hook.module}.{hook.attr}"
         for hook in hooks
         if not callable(getattr(importlib.import_module(hook.module), hook.attr, None))
+    ]
+    assert missing == []
+
+
+def _argtree_imports() -> list[tuple[str, str, str]]:
+    """(file, module, name) of each argtree import in benchmark/*.py and scripts/*.py.
+
+    `from argtree.x import name` gives (file, "argtree.x", name), and
+    `import argtree.x` gives (file, "argtree.x", ""). Imports inside
+    functions count too.
+    """
+    found = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "benchmark", "*.py")) +
+                       glob.glob(os.path.join(ROOT, "scripts", "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), path)
+        where = os.path.relpath(path, ROOT)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                found += [(where, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                found += [(where, alias.name, "") for alias in node.names]
+    return [entry for entry in found if entry[1].split(".")[0] == "argtree"]
+
+
+def _resolves(module: str, name: str) -> bool:
+    try:
+        imported = importlib.import_module(module)
+        if name and not hasattr(imported, name):
+            importlib.import_module(f"{module}.{name}")  # a submodule not imported yet
+    except ImportError:
+        return False
+    return True
+
+
+def test_every_argtree_import_of_the_benchmark_and_scripts_resolves():
+    imports = _argtree_imports()
+    names = {name for _, _, name in imports}
+    # the scan sees the imports made inside functions, too
+    assert {"pack_dataset", "batch_loss_and_grads", "read_pairs_file", "load_model", "main"} <= names
+    missing = [
+        f"{where}: {module}{'.' + name if name else ''}"
+        for where, module, name in imports
+        if not _resolves(module, name)
     ]
     assert missing == []
 
